@@ -1,9 +1,8 @@
 //! The cloud simulator: API front-end, ASG reconciliation engine, eventual
 //! consistency and throttling.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use pod_obs::{Counter, Histogram, Obs};
 use pod_sim::{Clock, EventQueue, LatencyModel, SimDuration, SimRng, SimTime};
 
@@ -233,14 +232,14 @@ impl Cloud {
     /// the simulation's replacement for `sleep`.
     pub fn sleep(&self, d: SimDuration) {
         let now = self.clock.advance(d);
-        self.inner.lock().run_until(now);
+        self.inner.lock().unwrap().run_until(now);
     }
 
     /// Processes engine events up to the current clock time without
     /// consuming any additional time.
     pub fn settle(&self) {
         let now = self.clock.now();
-        self.inner.lock().run_until(now);
+        self.inner.lock().unwrap().run_until(now);
     }
 
     // ---------------------------------------------------------------
@@ -256,7 +255,7 @@ impl Cloud {
         // pay only a clock read here; a span is materialised
         // retroactively for the anomalous outcomes diagnosis cares about.
         let started_at = self.clock.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let model = inner.config.api_latency.clone();
         let latency = model.sample(&mut inner.rng);
         let now = self.clock.advance(latency);
@@ -718,7 +717,7 @@ impl Cloud {
     // ---------------------------------------------------------------
 
     fn admin<T>(&self, f: impl FnOnce(&mut Inner, SimTime) -> T) -> T {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let now = self.clock.now();
         inner.run_until(now);
         f(&mut inner, now)

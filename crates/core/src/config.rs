@@ -1,8 +1,7 @@
 //! Engine configuration and the shared expected-environment handle.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use pod_assert::{AssertionLibrary, CloudAssertion, ExpectedEnv, RetryPolicy};
 use pod_faulttree::{FaultTreeRepository, TestOrder};
 use pod_log::RuleBook;
@@ -29,12 +28,12 @@ impl SharedEnv {
 
     /// A copy of the current expectation.
     pub fn snapshot(&self) -> ExpectedEnv {
-        self.inner.lock().clone()
+        self.inner.lock().unwrap().clone()
     }
 
     /// Applies a mutation (e.g. the operator acknowledging a scale-in).
     pub fn update(&self, f: impl FnOnce(&mut ExpectedEnv)) {
-        f(&mut self.inner.lock());
+        f(&mut self.inner.lock().unwrap());
     }
 }
 

@@ -260,7 +260,7 @@ impl PodEngine {
     /// Ingests a batch of raw lines, firing due timers once at the end.
     ///
     /// This is the gateway's amortized entry point: the whole batch runs
-    /// through the pipeline's batch-aware API (one step-limit sample per
+    /// through the pipeline's batch-aware API (one counter flush per
     /// batch), the causal-event ring handle is resolved once instead of per
     /// line, and the timer wheel is only consulted once per batch.
     pub fn ingest_batch(&mut self, events: impl IntoIterator<Item = LogEvent>) {

@@ -22,7 +22,7 @@ use pod_core::{PodEngine, RunSummary};
 use pod_log::{parse_line, Json, LineFormat, LogEvent};
 use pod_obs::{
     Counter, Exemplar, FlightConfig, FlightRecorder, Histogram, HistogramSnapshot, LogHistogram,
-    Obs, ShardCell,
+    Obs,
 };
 use pod_sim::{Clock, SimDuration, SimTime};
 
@@ -324,8 +324,6 @@ struct Shard {
     shed: u64,
     batches: u64,
     shed_counter: Counter,
-    /// This shard's cache-padded cell of `gateway.lines.processed`.
-    processed: ShardCell,
     queue_wait: LogHistogram,
 }
 
@@ -334,6 +332,7 @@ struct Shard {
 #[derive(Debug)]
 struct Metrics {
     submitted: Counter,
+    processed: Counter,
     batches: Counter,
     shed_oldest: Counter,
     shed_newest: Counter,
@@ -404,7 +403,6 @@ impl Gateway {
         let clock = Clock::new();
         let obs = Obs::new(clock.clone());
         obs.begin_run("gateway");
-        let processed = obs.sharded_counter("gateway.lines.processed", config.shards);
         let shards = (0..config.shards)
             .map(|i| Shard {
                 queue: BoundedQueue::new(config.queue_capacity),
@@ -414,12 +412,12 @@ impl Gateway {
                 shed: 0,
                 batches: 0,
                 shed_counter: obs.counter(&format!("gateway.shard.{i}.shed")),
-                processed: processed.cell(i),
                 queue_wait: obs.log_histogram(&format!("gateway.shard.{i}.queue_wait_us")),
             })
             .collect();
         let metrics = Metrics {
             submitted: obs.counter("gateway.lines.submitted"),
+            processed: obs.counter("gateway.lines.processed"),
             batches: obs.counter("gateway.batches"),
             shed_oldest: obs.counter("gateway.shed.oldest"),
             shed_newest: obs.counter("gateway.shed.newest"),
@@ -633,7 +631,7 @@ impl Gateway {
         // operation's line order (first-appearance order across groups).
         // Each group is handed to its sink as one batch, so the whole
         // drain flows through the diagnosis engine's batch-aware path
-        // (`Pipeline::push_batch`): per-line setup — step-limit sampling,
+        // (`Pipeline::push_batch`): per-line setup — counter flushes,
         // causal-ring resolution, timer polling — is paid once per group.
         let batch_len = batch.len();
         let mut groups: Vec<(usize, Vec<LogEvent>)> = Vec::with_capacity(4);
@@ -695,7 +693,7 @@ impl Gateway {
             self.ops[op].lines += n;
             self.shards[shard_idx].lines += n;
             self.tallies.processed += n;
-            self.shards[shard_idx].processed.add(n);
+            self.metrics.processed.add(n);
             self.ops[op].sink.ingest_batch(events);
             if self.flight.is_some() || self.incident_hook.is_some() {
                 let detections = self.ops[op].sink.detections();

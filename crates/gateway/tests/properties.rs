@@ -171,6 +171,10 @@ fn block_stalls_producer_and_loses_nothing() {
             .count,
         6
     );
+    assert_eq!(
+        snap.counter("gateway.lines.processed"),
+        stats.lines_processed
+    );
 }
 
 #[test]

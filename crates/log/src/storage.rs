@@ -3,13 +3,11 @@
 //! All "important" lines from distributed nodes, plus the result logs of
 //! conformance checking, assertion evaluation and error diagnosis, are
 //! merged here. The storage is shared (cheap to clone, internally locked)
-//! and supports cursor-based tailing — which is how the central log
-//! processor discovers failure lines to react to — as well as ad-hoc
-//! querying for offline analysis and process discovery.
+//! and supports ad-hoc querying for offline analysis and process
+//! discovery.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use pod_regex::Regex;
 use pod_sim::SimTime;
 
@@ -24,12 +22,9 @@ use crate::event::{LogEvent, Severity};
 /// use pod_sim::SimTime;
 ///
 /// let storage = LogStorage::new();
-/// let tail = storage.clone();
+/// let shared = storage.clone();
 /// storage.append(LogEvent::new(SimTime::ZERO, "asgard.log", "started"));
-/// let mut cursor = 0;
-/// let new = tail.events_since(&mut cursor);
-/// assert_eq!(new.len(), 1);
-/// assert!(tail.events_since(&mut cursor).is_empty());
+/// assert_eq!(shared.snapshot().len(), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LogStorage {
@@ -44,17 +39,17 @@ impl LogStorage {
 
     /// Appends one event.
     pub fn append(&self, event: LogEvent) {
-        self.events.lock().push(event);
+        self.events.lock().unwrap().push(event);
     }
 
     /// Appends many events.
     pub fn extend(&self, events: impl IntoIterator<Item = LogEvent>) {
-        self.events.lock().extend(events);
+        self.events.lock().unwrap().extend(events);
     }
 
     /// Number of stored events.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.events.lock().unwrap().len()
     }
 
     /// Whether the store is empty.
@@ -62,24 +57,16 @@ impl LogStorage {
         self.len() == 0
     }
 
-    /// Returns events appended since `cursor` and advances the cursor —
-    /// the tailing primitive used by the central log processor.
-    pub fn events_since(&self, cursor: &mut usize) -> Vec<LogEvent> {
-        let events = self.events.lock();
-        let new = events[(*cursor).min(events.len())..].to_vec();
-        *cursor = events.len();
-        new
-    }
-
     /// A snapshot of all events.
     pub fn snapshot(&self) -> Vec<LogEvent> {
-        self.events.lock().clone()
+        self.events.lock().unwrap().clone()
     }
 
     /// Runs a query against the current contents.
     pub fn query(&self, q: &LogQuery) -> Vec<LogEvent> {
         self.events
             .lock()
+            .unwrap()
             .iter()
             .filter(|e| q.matches(e))
             .cloned()
@@ -88,7 +75,7 @@ impl LogStorage {
 
     /// Removes all events (used between experiment runs).
     pub fn clear(&self) {
-        self.events.lock().clear();
+        self.events.lock().unwrap().clear();
     }
 }
 
@@ -249,16 +236,6 @@ mod tests {
             "ERROR launch failed",
         ));
         s
-    }
-
-    #[test]
-    fn cursor_tailing_sees_each_event_once() {
-        let s = store();
-        let mut cursor = 0;
-        assert_eq!(s.events_since(&mut cursor).len(), 3);
-        assert!(s.events_since(&mut cursor).is_empty());
-        s.append(LogEvent::new(SimTime::from_millis(40), "x", "new"));
-        assert_eq!(s.events_since(&mut cursor).len(), 1);
     }
 
     #[test]

@@ -34,9 +34,8 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use pod_sim::{Clock, SimTime};
 
 /// Upper bound on retained events per trace. The buffer is a true ring:
@@ -183,7 +182,7 @@ impl EventLog {
     /// Starts a fresh trace, discarding all events (and scopes) of the
     /// previous one.
     pub fn begin_trace(&self, trace_id: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         *inner = EventLogInner {
             trace_id: trace_id.to_string(),
             ..EventLogInner::default()
@@ -192,7 +191,7 @@ impl EventLog {
 
     /// The current trace id (empty before the first `begin_trace`).
     pub fn trace_id(&self) -> String {
-        self.inner.lock().trace_id.clone()
+        self.inner.lock().unwrap().trace_id.clone()
     }
 
     /// Emits one event and returns a handle for attaching attributes.
@@ -229,7 +228,7 @@ impl EventLog {
     ) -> EventId {
         let name = name.into();
         let at = self.clock.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let parent = match parent {
             Parent::Ambient => inner.resolve_ambient(),
             Parent::None => None,
@@ -256,6 +255,7 @@ impl EventLog {
         if let Some(cause) = cause {
             self.inner
                 .lock()
+                .unwrap()
                 .causes
                 .push(CauseFrame::Resolved(cause.get()));
         }
@@ -286,6 +286,7 @@ impl EventLog {
         let at = self.clock.now();
         self.inner
             .lock()
+            .unwrap()
             .causes
             .push(CauseFrame::Pending(PendingCause {
                 kind,
@@ -304,12 +305,12 @@ impl EventLog {
     /// cause to a concrete id materialises pending frames, exactly as an
     /// ambient emission would.
     pub fn current_cause(&self) -> Option<EventId> {
-        self.inner.lock().resolve_ambient().map(EventId)
+        self.inner.lock().unwrap().resolve_ambient().map(EventId)
     }
 
     /// All retained events, in emission order.
     pub fn records(&self) -> Vec<EventRecord> {
-        self.inner.lock().ring.iter().cloned().collect()
+        self.inner.lock().unwrap().ring.iter().cloned().collect()
     }
 
     /// Runs `f` over the retained events without cloning them — the
@@ -317,28 +318,28 @@ impl EventLog {
     /// decisions) reads thousands of records per run, and a deep copy of
     /// every `String` in the ring would dwarf the cost being measured.
     pub fn with_records<R>(&self, f: impl FnOnce(&[EventRecord]) -> R) -> R {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         // O(1) unless the ring wrapped, which only happens past EVENT_CAP.
         f(inner.ring.make_contiguous())
     }
 
     /// The number of retained events.
     pub fn len(&self) -> usize {
-        self.inner.lock().ring.len()
+        self.inner.lock().unwrap().ring.len()
     }
 
     /// Whether no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().ring.is_empty()
+        self.inner.lock().unwrap().ring.is_empty()
     }
 
     /// Events evicted from the ring after the retention cap was reached.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.inner.lock().unwrap().dropped
     }
 
     fn set_attr(&self, id: u64, key: &'static str, value: String) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         // The ring is ordered by id; an evicted event is silently skipped.
         if let Some(record) = inner.ring.iter_mut().rev().find(|e| e.id == id) {
             record.attrs.push((key, value));
@@ -391,7 +392,7 @@ pub struct CauseScope {
 impl Drop for CauseScope {
     fn drop(&mut self) {
         if self.active {
-            self.log.inner.lock().causes.pop();
+            self.log.inner.lock().unwrap().causes.pop();
         }
     }
 }

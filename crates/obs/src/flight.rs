@@ -19,9 +19,8 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use pod_sim::{Clock, SimDuration, SimTime};
 
 use crate::metrics::{Registry, Snapshot};
@@ -118,7 +117,7 @@ impl FlightRecorder {
     pub fn tick(&self) -> bool {
         let now = self.clock.now();
         {
-            let inner = self.inner.lock();
+            let inner = self.inner.lock().unwrap();
             if let Some(last) = inner.last_frame {
                 if now.duration_since(last) < self.config.interval {
                     return false;
@@ -135,7 +134,7 @@ impl FlightRecorder {
             at: self.clock.now(),
             snapshot: self.registry.snapshot(),
         };
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         inner.last_frame = Some(frame.at);
         if inner.frames.len() >= self.config.capacity {
             inner.frames.pop_front();
@@ -148,7 +147,7 @@ impl FlightRecorder {
     /// always holds the metric state at the moment of detection.
     pub fn mark_incident(&self, label: &str) {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.lock().unwrap();
             if inner.incidents.len() >= INCIDENT_CAP {
                 inner.dropped_incidents += 1;
             } else {
@@ -164,17 +163,17 @@ impl FlightRecorder {
 
     /// The number of retained frames.
     pub fn frames_len(&self) -> usize {
-        self.inner.lock().frames.len()
+        self.inner.lock().unwrap().frames.len()
     }
 
     /// The number of retained incident marks.
     pub fn incidents_len(&self) -> usize {
-        self.inner.lock().incidents.len()
+        self.inner.lock().unwrap().incidents.len()
     }
 
     /// Copies the black box out.
     pub fn dump(&self) -> FlightDump {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         FlightDump {
             frames: inner.frames.iter().cloned().collect(),
             incidents: inner.incidents.clone(),

@@ -21,9 +21,8 @@
 //! diff and merge path works unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use parking_lot::Mutex;
 use pod_sim::SimTime;
 
 use crate::metrics::HistogramSnapshot;
@@ -147,7 +146,7 @@ impl LogHistogram {
         if value < self.0.tail_floor.load(Ordering::Relaxed) {
             return;
         }
-        let mut pool = self.0.exemplars.lock();
+        let mut pool = self.0.exemplars.lock().unwrap();
         if pool.len() >= EXEMPLAR_CAP {
             // Evict the smallest retained exemplar; equal values keep the
             // earlier one (stable under re-observation of the same tail).
@@ -176,7 +175,7 @@ impl LogHistogram {
 
     /// The retained tail exemplars, largest value first.
     pub fn exemplars(&self) -> Vec<Exemplar> {
-        let mut out = self.0.exemplars.lock().clone();
+        let mut out = self.0.exemplars.lock().unwrap().clone();
         out.sort_by(|a, b| b.value.cmp(&a.value).then(a.at.cmp(&b.at)));
         out
     }

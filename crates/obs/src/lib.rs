@@ -77,8 +77,7 @@ pub use flight::{
 };
 pub use hist2::{log_bounds, Exemplar, LogHistogram, EXEMPLAR_CAP};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, ShardCell, ShardedCounter, Snapshot,
-    LATENCY_BOUNDS_US,
+    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, LATENCY_BOUNDS_US,
 };
 pub use obs::{Obs, TelemetryMode};
 pub use render::render_summary;

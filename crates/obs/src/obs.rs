@@ -8,7 +8,7 @@ use pod_sim::Clock;
 
 use crate::event::{CauseScope, Emitted, EventId, EventLog, Parent};
 use crate::hist2::LogHistogram;
-use crate::metrics::{Counter, Gauge, Histogram, Registry, ShardedCounter, Snapshot};
+use crate::metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
 use crate::span::{SpanGuard, Tracer};
 
 /// How much telemetry an [`Obs`] context records.
@@ -227,11 +227,6 @@ impl Obs {
     /// Log-scale histogram accessor (see [`Registry::log_histogram`]).
     pub fn log_histogram(&self, name: &str) -> LogHistogram {
         self.registry.log_histogram(name)
-    }
-
-    /// Sharded counter accessor (see [`Registry::sharded_counter`]).
-    pub fn sharded_counter(&self, name: &str, shards: usize) -> ShardedCounter {
-        self.registry.sharded_counter(name, shards)
     }
 
     /// Retroactively records a completed span (see

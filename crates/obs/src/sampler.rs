@@ -2,9 +2,9 @@
 //!
 //! Head-based sampling decides *before* a run whether to record it — and
 //! at gateway scale that is exactly backwards, because the runs worth
-//! keeping (a detection, an error verdict, a shed or step-limit warning, a
-//! tail-latency exemplar) are the rare ones. The [`TailSampler`] decides
-//! *after* a run completes, from its [`RunSignals`]:
+//! keeping (a detection, an error verdict, a shed warning, a tail-latency
+//! exemplar) are the rare ones. The [`TailSampler`] decides *after* a run
+//! completes, from its [`RunSignals`]:
 //!
 //! - any **incident-relevant** signal always keeps the run — an operation
 //!   that detected something, errored, or was degraded by the gateway is
@@ -48,7 +48,7 @@ pub struct RunSignals {
     /// Error verdicts (e.g. conformance errors) during the run.
     pub errors: usize,
     /// Degradation warnings attributable to the run: shard shedding,
-    /// regex step-limit hits, span/event ring drops.
+    /// span/event ring drops.
     pub warnings: usize,
     /// Whether a tail-latency exemplar points at this run.
     pub tail_exemplar: bool,

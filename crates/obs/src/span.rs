@@ -3,9 +3,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use pod_sim::{Clock, SimDuration, SimTime};
 
 /// Upper bound on retained finished spans per trace; beyond it spans are
@@ -78,7 +77,7 @@ impl Tracer {
     /// Starts a fresh trace identified by `trace_id` (normally the run
     /// id), discarding all spans of the previous trace.
     pub fn begin_trace(&self, trace_id: &str) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         *inner = TracerInner {
             trace_id: trace_id.to_string(),
             ..TracerInner::default()
@@ -89,14 +88,14 @@ impl Tracer {
     ///
     /// [`begin_trace`]: Tracer::begin_trace
     pub fn trace_id(&self) -> String {
-        self.inner.lock().trace_id.clone()
+        self.inner.lock().unwrap().trace_id.clone()
     }
 
     /// Opens a span nested under the innermost open span. The span closes
     /// when the returned guard drops.
     pub fn span(&self, name: &'static str) -> SpanGuard {
         let start = self.clock.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let id = inner.next_id;
         inner.next_id += 1;
         let parent = inner.stack.last().copied();
@@ -132,7 +131,7 @@ impl Tracer {
         attrs: Vec<(&'static str, String)>,
     ) -> u64 {
         let end = self.clock.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let id = inner.next_id;
         inner.next_id += 1;
         let parent = inner.stack.last().copied();
@@ -152,7 +151,7 @@ impl Tracer {
     }
 
     fn set_attr(&self, id: u64, key: &'static str, value: String) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         if let Some(open) = inner.open.iter_mut().find(|s| s.id == id) {
             open.attrs.push((key, value));
         }
@@ -160,7 +159,7 @@ impl Tracer {
 
     fn finish(&self, id: u64) {
         let end = self.clock.now();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap();
         let Some(pos) = inner.open.iter().position(|s| s.id == id) else {
             return;
         };
@@ -183,35 +182,35 @@ impl Tracer {
 
     /// All finished spans, in completion order.
     pub fn finished(&self) -> Vec<SpanRecord> {
-        self.inner.lock().finished.clone()
+        self.inner.lock().unwrap().finished.clone()
     }
 
     /// Runs `f` over the finished spans without cloning them — the
     /// latency-budget accounting reads every span of a run, and a deep
     /// copy per read would dwarf the cost being measured.
     pub fn with_finished<R>(&self, f: impl FnOnce(&[SpanRecord]) -> R) -> R {
-        f(&self.inner.lock().finished)
+        f(&self.inner.lock().unwrap().finished)
     }
 
     /// The id of the innermost open span, if any — used to correlate
     /// causal events with the span they were emitted under.
     pub fn current_span_id(&self) -> Option<u64> {
-        self.inner.lock().stack.last().copied()
+        self.inner.lock().unwrap().stack.last().copied()
     }
 
     /// Spans discarded after the retention cap was reached.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.inner.lock().unwrap().dropped
     }
 
     /// The number of spans currently open.
     pub fn open_count(&self) -> usize {
-        self.inner.lock().open.len()
+        self.inner.lock().unwrap().open.len()
     }
 
     /// Renders the finished spans as an indented tree in start order.
     pub fn render_tree(&self) -> String {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap();
         let mut spans = inner.finished.clone();
         spans.sort_by_key(|s| (s.start, s.id));
         let ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();

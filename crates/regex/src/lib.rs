@@ -26,9 +26,10 @@
 //!    back-references, so this path is always available and is selected by
 //!    default ([`Engine::Auto`]).
 //! 3. The classic backtracking VM is kept as a reference engine
-//!    ([`Engine::Backtracking`]); its step-limit abort is surfaced as
-//!    [`MatchError::StepLimit`] and counted in [`step_limit_hits`] instead
-//!    of being silently conflated with a non-match.
+//!    ([`Engine::Backtracking`]), the oracle that differential tests and
+//!    benchmarks compare the fast path against. Its step-limit abort is
+//!    surfaced as [`MatchError::StepLimit`] instead of being silently
+//!    conflated with a non-match.
 //!
 //! # Examples
 //!
@@ -55,22 +56,10 @@ pub use literal::LiteralScanner;
 pub use parser::ParseError;
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use compile::Program;
 use literal::LiteralInfo;
 use pike::StartPolicy;
-
-/// Global count of backtracking-VM executions that hit the step limit.
-static STEP_LIMIT_HITS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of times (process-wide) the backtracking engine abandoned a match
-/// attempt at its step limit. Each such attempt's answer is unknown — the
-/// pipeline samples this to surface "the matcher gave up" in observability
-/// rather than treating the line as a clean non-match.
-pub fn step_limit_hits() -> u64 {
-    STEP_LIMIT_HITS.load(Ordering::Relaxed)
-}
 
 /// A matching failure. The only current variant is the backtracking
 /// engine's step-limit abort, which means the input may or may not match.
@@ -212,7 +201,7 @@ impl Regex {
     }
 
     /// Finds the leftmost match using a specific [`Engine`]. Engine
-    /// failures count toward [`step_limit_hits`] and report as no match.
+    /// failures report as no match.
     pub fn captures_with<'t>(&self, text: &'t str, engine: Engine) -> Option<Captures<'t>> {
         self.try_captures_with(text, engine).unwrap_or_default()
     }
@@ -223,8 +212,7 @@ impl Regex {
     /// # Errors
     ///
     /// [`MatchError::StepLimit`] if the backtracking engine gave up before
-    /// finding an answer (the attempt is also counted in
-    /// [`step_limit_hits`]). `Auto` and `PikeVm` never fail.
+    /// finding an answer. `Auto` and `PikeVm` never fail.
     pub fn try_captures_with<'t>(
         &self,
         text: &'t str,
@@ -297,10 +285,7 @@ impl Regex {
                     return Ok(Some(byte_slots));
                 }
                 vm::ExecOutcome::NoMatch => {}
-                vm::ExecOutcome::StepLimit => {
-                    STEP_LIMIT_HITS.fetch_add(1, Ordering::Relaxed);
-                    return Err(MatchError::StepLimit);
-                }
+                vm::ExecOutcome::StepLimit => return Err(MatchError::StepLimit),
             }
         }
         Ok(None)
@@ -785,15 +770,13 @@ mod tests {
     }
 
     #[test]
-    fn step_limit_surfaces_as_error_and_metric() {
+    fn backtracker_step_limit_is_an_error() {
         let re = Regex::new("(a+)+b").unwrap();
         let text = "a".repeat(30);
-        let before = step_limit_hits();
         assert_eq!(
             re.try_captures_with(&text, Engine::Backtracking).err(),
             Some(MatchError::StepLimit)
         );
-        assert!(step_limit_hits() > before);
         // The infallible API maps the failure to "no match"…
         assert!(re.captures_with(&text, Engine::Backtracking).is_none());
         // …while the default engine answers definitively.
