@@ -1,11 +1,12 @@
 //! Engine configuration and the shared expected-environment handle.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use pod_assert::{AssertionLibrary, CloudAssertion, ExpectedEnv, RetryPolicy};
 use pod_faulttree::{FaultTreeRepository, TestOrder};
 use pod_log::RuleBook;
 use pod_process::ProcessModel;
+use pod_regex::{Regex, RegexSet};
 use pod_sim::{LatencyModel, SimDuration};
 
 /// The expected environment, shared between the engine and the operator /
@@ -38,20 +39,25 @@ impl SharedEnv {
 }
 
 /// Static configuration of a [`crate::PodEngine`].
-#[derive(Debug)]
+///
+/// Patterns and rules arrive compiled. They are fixed artefacts of the
+/// process, so a caller compiles them once and clones the config per
+/// engine; the clone shares the compiled regexes and rule book by
+/// reference count.
+#[derive(Debug, Clone)]
 pub struct PodConfig {
     /// The process model conformance checks against.
     pub model: ProcessModel,
     /// Transformation rules annotating log lines with process context.
     pub rules: RuleBook,
-    /// Noise-filter keep patterns.
-    pub relevance_patterns: Vec<String>,
+    /// Noise-filter keep patterns; `None` keeps every line.
+    pub relevance_patterns: Option<RegexSet>,
     /// Patterns of known-error log lines.
-    pub known_error_patterns: Vec<String>,
+    pub known_error_patterns: RegexSet,
     /// Pattern marking operation start (starts the periodic timer).
-    pub operation_start_pattern: String,
+    pub operation_start_pattern: Regex,
     /// Pattern marking operation end (stops the timers).
-    pub operation_end_pattern: String,
+    pub operation_end_pattern: Regex,
     /// Assertion bindings per activity.
     pub bindings: AssertionLibrary,
     /// Fault trees per assertion key.
@@ -100,22 +106,35 @@ pub struct PodConfig {
     pub batch_size: u32,
 }
 
+// Callers keep one compiled config per process in a `OnceLock` and share
+// its patterns and rule book by `Arc`, which needs them `Send + Sync`.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Regex>();
+    assert_send_sync::<RegexSet>();
+    assert_send_sync::<RuleBook>();
+    assert_send_sync::<PodConfig>();
+};
+
 impl PodConfig {
     /// A configuration with engine defaults; the caller supplies the
-    /// process artefacts (model, rules, bindings, trees, patterns).
+    /// process artefacts (model, rules, bindings, trees, patterns). The
+    /// default start and end patterns match only an empty line.
     pub fn new(
         model: ProcessModel,
         rules: RuleBook,
         bindings: AssertionLibrary,
         trees: FaultTreeRepository,
     ) -> PodConfig {
+        static EMPTY_LINE: OnceLock<Regex> = OnceLock::new();
+        let empty_line = EMPTY_LINE.get_or_init(|| Regex::new("^$").expect("static pattern"));
         PodConfig {
             model,
             rules,
-            relevance_patterns: Vec::new(),
-            known_error_patterns: Vec::new(),
-            operation_start_pattern: "^$".to_string(),
-            operation_end_pattern: "^$".to_string(),
+            relevance_patterns: None,
+            known_error_patterns: RegexSet::default(),
+            operation_start_pattern: empty_line.clone(),
+            operation_end_pattern: empty_line.clone(),
             bindings,
             trees,
             retry_policy: RetryPolicy::default(),

@@ -18,7 +18,7 @@ use pod_log::{
 };
 use pod_obs::{Counter, Exemplar, LogHistogram, Obs};
 use pod_process::{Conformance, ConformanceChecker};
-use pod_regex::{Regex, RegexSet};
+use pod_regex::RegexSet;
 use pod_sim::{LatencyModel, SimDuration, SimRng, SimTime};
 
 use crate::config::{PodConfig, SharedEnv};
@@ -140,33 +140,28 @@ pub struct PodEngine {
 }
 
 impl PodEngine {
-    /// Builds an engine for one trace.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any configured pattern does not compile.
+    /// Builds an engine for one trace. The configuration's patterns and
+    /// rules are already compiled, so this only allocates per-trace state.
     pub fn new(
         cloud: Cloud,
         storage: LogStorage,
         env: SharedEnv,
         config: PodConfig,
         trace_id: impl Into<String>,
-    ) -> Result<PodEngine, pod_regex::ParseError> {
+    ) -> PodEngine {
         let trace_id = trace_id.into();
         let process_id = config.model.name().to_string();
         let mut pipeline = Pipeline::new();
-        if !config.relevance_patterns.is_empty() {
-            pipeline.add_stage(Box::new(NoiseFilter::keep(RegexSet::new(
-                &config.relevance_patterns,
-            )?)));
+        if let Some(relevance) = config.relevance_patterns {
+            pipeline.add_stage(Box::new(NoiseFilter::keep(relevance)));
         }
         pipeline.add_stage(Box::new(TimerSetter::new(
-            Regex::new(&config.operation_start_pattern)?,
-            Regex::new(&config.operation_end_pattern)?,
+            config.operation_start_pattern,
+            config.operation_end_pattern,
             trace_id.clone(),
         )));
         pipeline.add_stage(Box::new(ProcessAnnotator::new(
-            config.rules.clone(),
+            config.rules,
             process_id.clone(),
             trace_id.clone(),
         )));
@@ -179,10 +174,10 @@ impl PodEngine {
         let evaluator = AssertionEvaluator::new(api, storage.clone());
         let diag_api = ConsistentApi::new(cloud.clone(), config.diagnosis_retry_policy.clone());
         let diag = DiagnosisEngine::new(diag_api, storage.clone()).with_order(config.test_order);
-        Ok(PodEngine {
+        PodEngine {
             metrics: EngineMetrics::new(cloud.obs()),
             conformance: ConformanceChecker::new(&config.model).with_obs(cloud.obs()),
-            known_errors: RegexSet::new(&config.known_error_patterns)?,
+            known_errors: config.known_error_patterns,
             pipeline,
             evaluator,
             diag,
@@ -213,7 +208,7 @@ impl PodEngine {
             last_diagnosis_at: HashMap::new(),
             summary: RunSummary::default(),
             hook: DetectionHook::default(),
-        })
+        }
     }
 
     /// Installs the fast-path detection hook: a closure called synchronously

@@ -27,3 +27,5 @@ pub mod offline;
 pub use config::{PodConfig, SharedEnv};
 pub use detection::{Detection, DetectionSource, EngineNotice, RunSummary};
 pub use engine::PodEngine;
+/// The compiled pattern types [`PodConfig`] holds.
+pub use pod_regex::{Regex, RegexSet};

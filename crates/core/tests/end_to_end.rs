@@ -3,7 +3,7 @@
 
 use pod_assert::RetryPolicy;
 use pod_cloud::{Cloud, CloudConfig};
-use pod_core::{DetectionSource, PodConfig, PodEngine, RunSummary, SharedEnv};
+use pod_core::{DetectionSource, PodConfig, PodEngine, Regex, RegexSet, RunSummary, SharedEnv};
 use pod_faulttree::rolling_upgrade_repository;
 use pod_log::{LogEvent, LogStorage};
 use pod_orchestrator::{
@@ -61,16 +61,10 @@ fn pod_config() -> PodConfig {
         process_def::rolling_upgrade_assertions(),
         rolling_upgrade_repository(true),
     );
-    config.relevance_patterns = process_def::relevance_patterns()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    config.known_error_patterns = process_def::known_error_patterns()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    config.operation_start_pattern = process_def::operation_start_pattern().to_string();
-    config.operation_end_pattern = process_def::operation_end_pattern().to_string();
+    config.relevance_patterns = Some(RegexSet::new(&process_def::relevance_patterns()).unwrap());
+    config.known_error_patterns = RegexSet::new(&process_def::known_error_patterns()).unwrap();
+    config.operation_start_pattern = Regex::new(process_def::operation_start_pattern()).unwrap();
+    config.operation_end_pattern = Regex::new(process_def::operation_end_pattern()).unwrap();
     config.wait_activity = Some(pod_faulttree::steps::WAIT_ASG.to_string());
     config.completion_activity = Some(pod_faulttree::steps::READY.to_string());
     config.in_flight_activities = vec![
@@ -135,7 +129,6 @@ fn engine_for(world: &World) -> PodEngine {
         pod_config(),
         "run-1",
     )
-    .expect("patterns compile")
 }
 
 #[test]
@@ -293,4 +286,41 @@ fn configuration_faults_are_invisible_to_conformance() {
         .detections
         .iter()
         .any(|d| d.source == DetectionSource::AssertionLog));
+}
+
+#[test]
+fn engines_built_from_clones_of_one_config_do_not_share_state() {
+    // Both engines exist at once and share the config's compiled patterns
+    // and rule book; each monitors the same faulty upgrade on its own
+    // same-seed world, so any state leaking through the shared artefacts
+    // shows as a difference between the two summaries.
+    let config = pod_config();
+    let worlds = [build_world(107, 4), build_world(107, 4)];
+    let engines: Vec<PodEngine> = worlds
+        .iter()
+        .map(|w| {
+            PodEngine::new(
+                w.cloud.clone(),
+                w.storage.clone(),
+                w.env.clone(),
+                config.clone(),
+                "run-1",
+            )
+        })
+        .collect();
+    let summaries: Vec<String> = worlds
+        .iter()
+        .zip(engines)
+        .map(|(world, engine)| {
+            let inject_at = world.cloud.clock().now() + SimDuration::from_secs(120);
+            let (summary, _) = run_upgrade_with(
+                world,
+                engine,
+                Some((inject_at, FaultType::AmiChangedDuringUpgrade)),
+            );
+            assert!(!summary.detections.is_empty(), "the fault must be detected");
+            format!("{summary:?}")
+        })
+        .collect();
+    assert_eq!(summaries[0], summaries[1]);
 }

@@ -3,7 +3,7 @@
 
 use pod_assert::RetryPolicy;
 use pod_cloud::{Cloud, CloudConfig};
-use pod_core::{DetectionSource, PodConfig, PodEngine, RunSummary, SharedEnv};
+use pod_core::{DetectionSource, PodConfig, PodEngine, Regex, RegexSet, RunSummary, SharedEnv};
 use pod_faulttree::{rolling_upgrade_repository, steps, DiagnosisVerdict};
 use pod_log::{LogEvent, LogStorage};
 use pod_orchestrator::{process_def, RollingUpgrade, UpgradeConfig, UpgradeObserver};
@@ -59,16 +59,10 @@ fn pod_config(step_timeout: SimDuration) -> PodConfig {
         process_def::rolling_upgrade_assertions(),
         rolling_upgrade_repository(true),
     );
-    config.relevance_patterns = process_def::relevance_patterns()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    config.known_error_patterns = process_def::known_error_patterns()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    config.operation_start_pattern = process_def::operation_start_pattern().to_string();
-    config.operation_end_pattern = process_def::operation_end_pattern().to_string();
+    config.relevance_patterns = Some(RegexSet::new(&process_def::relevance_patterns()).unwrap());
+    config.known_error_patterns = RegexSet::new(&process_def::known_error_patterns()).unwrap();
+    config.operation_start_pattern = Regex::new(process_def::operation_start_pattern()).unwrap();
+    config.operation_end_pattern = Regex::new(process_def::operation_end_pattern()).unwrap();
     config.wait_activity = Some(steps::WAIT_ASG.to_string());
     config.completion_activity = Some(steps::READY.to_string());
     config.in_flight_activities = vec![
@@ -138,8 +132,7 @@ fn timeout_false_positives_diagnose_to_no_root_cause() {
         world.env.clone(),
         pod_config(SimDuration::from_secs(20)),
         "run-1",
-    )
-    .unwrap();
+    );
     let summary = run_with_action(&world, engine, None, |_, _| {});
     let timer_detections: Vec<_> = summary
         .detections
@@ -173,8 +166,7 @@ fn expectation_race_is_detected_and_attributed_to_the_concurrent_operation() {
         world.env.clone(),
         pod_config(SimDuration::from_secs(300)),
         "run-1",
-    )
-    .unwrap();
+    );
     let asg = world.config.asg.clone();
     let summary = run_with_action(
         &world,
@@ -220,8 +212,7 @@ fn acknowledged_scaling_stops_the_alarms() {
         world.env.clone(),
         pod_config(SimDuration::from_secs(300)),
         "run-1",
-    )
-    .unwrap();
+    );
     let asg = world.config.asg.clone();
     let summary = run_with_action(
         &world,

@@ -2,10 +2,12 @@
 //! configuration, the expected environment, and the POD engine wired with
 //! the rolling-upgrade artefacts.
 
+use std::sync::OnceLock;
+
 use pod_assert::{ExpectedEnv, RetryPolicy};
 use pod_cloud::{Cloud, CloudConfig};
-use pod_core::{PodConfig, PodEngine, SharedEnv};
-use pod_faulttree::{rolling_upgrade_repository, steps, TestOrder};
+use pod_core::{PodConfig, PodEngine, Regex, RegexSet, SharedEnv};
+use pod_faulttree::{rolling_upgrade_repository, steps, FaultTreeRepository, TestOrder};
 use pod_log::LogStorage;
 use pod_orchestrator::{process_def, UpgradeConfig};
 use pod_sim::{Clock, SimDuration, SimRng};
@@ -106,23 +108,38 @@ pub fn build_scenario(config: &ScenarioConfig) -> Scenario {
 }
 
 /// Builds the POD engine configuration for the rolling upgrade.
+///
+/// The rolling-upgrade artefacts are compiled once per process; each call
+/// clones them (sharing the compiled patterns and rule book) and sets the
+/// per-run fields.
 pub fn pod_config(config: &ScenarioConfig) -> PodConfig {
+    static BASE: OnceLock<PodConfig> = OnceLock::new();
+    let mut c = BASE.get_or_init(rolling_upgrade_base).clone();
+    c.trees = rolling_upgrade_repository(config.amended_trees);
+    c.test_order = config.test_order;
+    c.batch_size = config.batch_size;
+    c.engine_seed = config.seed;
+    c
+}
+
+/// The run-independent part of [`pod_config`], with an empty fault-tree
+/// repository (the trees depend on the run's `amended_trees`).
+fn rolling_upgrade_base() -> PodConfig {
     let mut c = PodConfig::new(
         process_def::rolling_upgrade_model(),
         process_def::rolling_upgrade_rules(),
         process_def::rolling_upgrade_assertions(),
-        rolling_upgrade_repository(config.amended_trees),
+        FaultTreeRepository::new(),
     );
-    c.relevance_patterns = process_def::relevance_patterns()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    c.known_error_patterns = process_def::known_error_patterns()
-        .into_iter()
-        .map(str::to_string)
-        .collect();
-    c.operation_start_pattern = process_def::operation_start_pattern().to_string();
-    c.operation_end_pattern = process_def::operation_end_pattern().to_string();
+    c.relevance_patterns = Some(
+        RegexSet::new(&process_def::relevance_patterns()).expect("relevance patterns compile"),
+    );
+    c.known_error_patterns =
+        RegexSet::new(&process_def::known_error_patterns()).expect("known-error patterns compile");
+    c.operation_start_pattern =
+        Regex::new(process_def::operation_start_pattern()).expect("start pattern compiles");
+    c.operation_end_pattern =
+        Regex::new(process_def::operation_end_pattern()).expect("end pattern compiles");
     c.wait_activity = Some(steps::WAIT_ASG.to_string());
     c.completion_activity = Some(steps::READY.to_string());
     c.in_flight_activities = vec![
@@ -130,8 +147,6 @@ pub fn pod_config(config: &ScenarioConfig) -> PodConfig {
         steps::TERMINATE.to_string(),
         steps::WAIT_ASG.to_string(),
     ];
-    c.test_order = config.test_order;
-    c.batch_size = config.batch_size;
     // The step timeout is the 95th percentile of the historical replacement
     // duration (terminate ≈ 25 s + reconcile ≤ 10 s + boot, lognormal with a
     // heavy tail). Late-but-healthy replacements beyond p95 become the
@@ -158,7 +173,6 @@ pub fn pod_config(config: &ScenarioConfig) -> PodConfig {
         multiplier: 2.0,
         timeout: SimDuration::from_secs(12),
     };
-    c.engine_seed = config.seed;
     c
 }
 
@@ -172,7 +186,6 @@ pub fn build_engine(scenario: &Scenario, config: &ScenarioConfig) -> PodEngine {
         pod,
         scenario.trace_id.clone(),
     )
-    .expect("rolling-upgrade patterns compile")
 }
 
 #[cfg(test)]

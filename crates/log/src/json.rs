@@ -110,6 +110,7 @@ impl Json {
     /// Returns a [`JsonError`] with the byte position of the first problem.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = JsonParser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -198,6 +199,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct JsonParser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -312,12 +314,15 @@ impl<'a> JsonParser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the plain run up to the next quote or backslash
+                    // in one go. Both are ASCII, so the run ends on a char
+                    // boundary of the (already valid UTF-8) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    out.push_str(&self.input[self.pos..run]);
+                    self.pos = run;
                 }
                 None => return Err(self.error("unterminated string")),
             }

@@ -6,6 +6,7 @@
 //! [`RuleBook`] holds those rules and classifies raw lines.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use pod_regex::{Captures, Engine, LiteralScanner, Regex};
 
@@ -142,8 +143,18 @@ impl RuleIndex {
 /// assert_eq!(m.fields, vec![("instanceid".to_string(), "i-7df34041".to_string())]);
 /// assert!(book.match_line("unrelated noise").is_none());
 /// ```
+///
+/// The rules and their index are shared: cloning a book bumps a reference
+/// count, so every engine annotating with the same book uses one compiled
+/// copy.
 #[derive(Debug, Clone, Default)]
 pub struct RuleBook {
+    inner: Arc<CompiledBook>,
+}
+
+/// The rules of a [`RuleBook`] and the literal index built over them.
+#[derive(Debug, Clone, Default)]
+struct CompiledBook {
     rules: Vec<LineRule>,
     index: RuleIndex,
 }
@@ -151,32 +162,31 @@ pub struct RuleBook {
 impl RuleBook {
     /// Creates an empty rule book.
     pub fn new() -> RuleBook {
-        RuleBook {
-            rules: Vec::new(),
-            index: RuleIndex::default(),
-        }
+        RuleBook::default()
     }
 
     /// Appends a rule; later rules have lower priority. The literal index
-    /// is rebuilt (books are small and built once at startup).
+    /// is rebuilt (books are small and built once at startup). A book
+    /// shared with clones is copied first, so the clones are unaffected.
     pub fn push(&mut self, rule: LineRule) {
-        self.rules.push(rule);
-        self.index = RuleIndex::build(&self.rules);
+        let book = Arc::make_mut(&mut self.inner);
+        book.rules.push(rule);
+        book.index = RuleIndex::build(&book.rules);
     }
 
     /// The rules in priority order.
     pub fn rules(&self) -> &[LineRule] {
-        &self.rules
+        &self.inner.rules
     }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.inner.rules.len()
     }
 
     /// Whether the book has no rules.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.inner.rules.is_empty()
     }
 
     /// Classifies `line`, returning the first matching rule's activity and
@@ -187,7 +197,8 @@ impl RuleBook {
     /// first-rule-wins semantics are preserved exactly (a pattern absent
     /// from the candidates is guaranteed not to match).
     pub fn match_line(&self, line: &str) -> Option<RuleMatch> {
-        let Some(scanner) = self.index.scanner.as_ref() else {
+        let CompiledBook { rules, index } = &*self.inner;
+        let Some(scanner) = index.scanner.as_ref() else {
             // No pattern yields literals: the index cannot narrow anything.
             return self.match_line_with_engine(line, Engine::Auto);
         };
@@ -196,12 +207,12 @@ impl RuleBook {
             let mut guard = buf.try_borrow_mut().ok();
             let cands = guard.as_deref_mut().unwrap_or(&mut fallback);
             cands.clear();
-            cands.extend_from_slice(&self.index.always);
-            scanner.scan(line, |lit, _| cands.push(self.index.lit_owner[lit]));
+            cands.extend_from_slice(&index.always);
+            scanner.scan(line, |lit, _| cands.push(index.lit_owner[lit]));
             cands.sort_unstable();
             cands.dedup();
             for &(r, p) in cands.iter() {
-                let rule = &self.rules[r as usize];
+                let rule = &rules[r as usize];
                 let re = &rule.patterns[p as usize];
                 if let Some(caps) = re.captures(line) {
                     return Some(Self::rule_match(rule, re, &caps));
@@ -221,7 +232,7 @@ impl RuleBook {
 
     /// Match-each-pattern loop on a chosen engine.
     fn match_line_with_engine(&self, line: &str, engine: Engine) -> Option<RuleMatch> {
-        for rule in &self.rules {
+        for rule in self.rules() {
             for re in &rule.patterns {
                 if let Some(caps) = re.captures_with(line, engine) {
                     return Some(Self::rule_match(rule, re, &caps));
@@ -250,7 +261,7 @@ impl RuleBook {
     /// All activities known to the book, deduplicated, in rule order.
     pub fn activities(&self) -> Vec<&str> {
         let mut seen = Vec::new();
-        for rule in &self.rules {
+        for rule in self.rules() {
             if !seen.contains(&rule.activity.as_str()) {
                 seen.push(rule.activity.as_str());
             }

@@ -1,6 +1,6 @@
 //! Property-based tests for JSON round-tripping and log storage.
 
-use pod_log::{Json, LogEvent, LogQuery, LogStorage, Severity};
+use pod_log::{parse_line, Json, LineFormat, LogEvent, LogQuery, LogStorage, Severity};
 use pod_sim::SimTime;
 use proptest::prelude::*;
 
@@ -28,7 +28,39 @@ fn arb_json() -> impl Strategy<Value = Json> {
     })
 }
 
+/// Strategy for strings over the whole of Unicode, weighted towards the
+/// characters a JSON string scan treats specially: quotes, backslashes,
+/// control characters and multi-byte UTF-8 of every width.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u32>(), 0..64).prop_map(|codes| {
+        codes
+            .into_iter()
+            .map(|code| {
+                let pick = code >> 3;
+                let c = match code & 7 {
+                    0 => Some('"'),
+                    1 => Some('\\'),
+                    2 => char::from_u32(pick % 0x20),
+                    3 => char::from_u32(0x20 + pick % 0x60),
+                    4 => char::from_u32(0x80 + pick % 0x780),
+                    5 => char::from_u32(0xE000 + pick % 0x2000),
+                    6 => char::from_u32(0x10000 + pick % 0x100000),
+                    _ => char::from_u32(pick % 0x110000),
+                };
+                c.unwrap_or('\u{fffd}')
+            })
+            .collect()
+    })
+}
+
 proptest! {
+    /// A string value of any content survives serialize → parse.
+    #[test]
+    fn json_string_round_trips(s in arb_text()) {
+        let parsed = Json::parse(&Json::str(s.as_str()).to_string()).unwrap();
+        prop_assert_eq!(parsed, Json::str(s));
+    }
+
     /// Serialize → parse is the identity on the JSON subset.
     #[test]
     fn json_round_trips(v in arb_json()) {
@@ -94,4 +126,17 @@ proptest! {
         let parsed = Json::parse(&e.to_json().to_string()).unwrap();
         prop_assert_eq!(parsed.get("@source").and_then(Json::as_str), Some("asgard.log"));
     }
+}
+
+/// A long non-ASCII message crosses the edge parse unchanged.
+#[test]
+fn long_non_ascii_line_round_trips_through_parse_line() {
+    let unit = "Instanz i-7df34041 wird ersetzt — 実行中 \"ok\" \\ 🚀\t";
+    let message = unit.repeat(64 * 1024 / unit.len() + 1);
+    assert!(message.len() >= 64 * 1024);
+    let event = LogEvent::new(SimTime::from_millis(7), "asgard.log", message.as_str());
+    let parsed = parse_line(&event.to_json().to_string(), SimTime::ZERO);
+    assert_eq!(parsed.format, LineFormat::Json);
+    assert_eq!(parsed.event.message, message);
+    assert_eq!(parsed.event.timestamp, event.timestamp);
 }

@@ -8,9 +8,11 @@
 //! ready-made [`pod_core::PodConfig`] so a fresh `PodEngine` can replay a
 //! run and vouch that the repair followed its playbook.
 
+use std::sync::OnceLock;
+
 use pod_assert::AssertionLibrary;
 use pod_cloud::Cloud;
-use pod_core::{PodConfig, PodEngine, SharedEnv};
+use pod_core::{PodConfig, PodEngine, Regex, RegexSet, SharedEnv};
 use pod_log::{Boundary, LineRule, RuleBook};
 use pod_process::{ProcessModel, ProcessModelBuilder};
 use pod_sim::SimDuration;
@@ -134,21 +136,31 @@ pub fn relevance_patterns() -> Vec<&'static str> {
 
 /// A [`PodConfig`] for conformance-checking recovery runs. Timers are
 /// effectively disabled (a recovery replay is a post-hoc audit, not live
-/// detection) and diagnosis dispatch is immediate.
+/// detection) and diagnosis dispatch is immediate. The config is compiled
+/// once per process; each call returns a clone sharing its patterns.
 pub fn recovery_pod_config() -> PodConfig {
-    let mut config = PodConfig::new(
-        recovery_model(),
-        recovery_rules(),
-        AssertionLibrary::new(),
-        pod_faulttree::rolling_upgrade_repository(true),
-    );
-    config.relevance_patterns = relevance_patterns().into_iter().map(String::from).collect();
-    config.operation_start_pattern = r"Started recovery task".to_string();
-    config.operation_end_pattern = r"Recovery task [\w-]+ (completed|escalated)".to_string();
-    config.step_timeout = SimDuration::from_secs(86_400);
-    config.periodic_interval = SimDuration::from_secs(86_400);
-    config.diagnosis_dispatch_delay = SimDuration::ZERO;
-    config
+    static CONFIG: OnceLock<PodConfig> = OnceLock::new();
+    CONFIG
+        .get_or_init(|| {
+            let mut config = PodConfig::new(
+                recovery_model(),
+                recovery_rules(),
+                AssertionLibrary::new(),
+                pod_faulttree::rolling_upgrade_repository(true),
+            );
+            config.relevance_patterns =
+                Some(RegexSet::new(&relevance_patterns()).expect("relevance patterns compile"));
+            config.operation_start_pattern =
+                Regex::new(r"Started recovery task").expect("start pattern compiles");
+            config.operation_end_pattern =
+                Regex::new(r"Recovery task [\w-]+ (completed|escalated)")
+                    .expect("end pattern compiles");
+            config.step_timeout = SimDuration::from_secs(86_400);
+            config.periodic_interval = SimDuration::from_secs(86_400);
+            config.diagnosis_dispatch_delay = SimDuration::ZERO;
+            config
+        })
+        .clone()
 }
 
 /// Verdict of replaying one recovery run against its process model.
@@ -175,8 +187,7 @@ pub fn conformance_check(cloud: &Cloud, run: &RecoveryRun) -> ConformanceReport 
         SharedEnv::new(run.env.clone()),
         recovery_pod_config(),
         run.task_id.clone(),
-    )
-    .expect("recovery monitor patterns are valid");
+    );
     engine.ingest_batch(run.log.iter().cloned());
     let summary = engine.finish();
     ConformanceReport {
@@ -307,7 +318,7 @@ mod tests {
         ] {
             assert!(set.first_match(noise).is_none(), "matched noise: {noise}");
         }
-        let op_end = pod_regex::Regex::new(&recovery_pod_config().operation_end_pattern).unwrap();
+        let op_end = recovery_pod_config().operation_end_pattern;
         assert!(op_end.is_match("Recovery task r-1 completed; root cause x repaired"));
         assert!(op_end.is_match("Recovery task r-1 escalated to operator: y"));
     }

@@ -38,7 +38,7 @@ pub enum Inst {
 }
 
 /// A compiled program.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Program {
     /// Instruction sequence.
     pub insts: Vec<Inst>,

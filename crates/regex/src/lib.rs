@@ -56,6 +56,7 @@ pub use literal::LiteralScanner;
 pub use parser::ParseError;
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use compile::Program;
 use literal::LiteralInfo;
@@ -104,7 +105,7 @@ thread_local! {
 }
 
 /// The compiled prefilter of one pattern.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Prefilter {
     /// Every match starts with one of the scanner's literals.
     Prefixes(LiteralScanner),
@@ -119,11 +120,22 @@ enum Prefilter {
 /// Matching is *unanchored* by default: [`Regex::find`] and
 /// [`Regex::captures`] scan for the leftmost match. Use `^` / `$` in the
 /// pattern to anchor.
+///
+/// The compiled program is immutable and shared: cloning a `Regex` bumps a
+/// reference count, so one compiled pattern can serve every engine and
+/// thread (matching scratch is thread-local).
 #[derive(Debug, Clone)]
 pub struct Regex {
+    inner: Arc<Compiled>,
+}
+
+/// The immutable compiled parts of a [`Regex`].
+#[derive(Debug)]
+struct Compiled {
     pattern: String,
     prog: Program,
-    names: Vec<(u32, String)>,
+    /// Shared with every [`Captures`], so a match allocates no names.
+    names: Arc<[(u32, String)]>,
     anchored: bool,
     prefilter: Prefilter,
     literals: Option<Vec<String>>,
@@ -151,18 +163,20 @@ impl Regex {
             LiteralInfo::None => Prefilter::None,
         };
         Ok(Regex {
-            pattern: pattern.to_string(),
-            prog,
-            names: parsed.capture_names,
-            anchored,
-            prefilter,
-            literals,
+            inner: Arc::new(Compiled {
+                pattern: pattern.to_string(),
+                prog,
+                names: parsed.capture_names.into(),
+                anchored,
+                prefilter,
+                literals,
+            }),
         })
     }
 
     /// The source pattern.
     pub fn as_str(&self) -> &str {
-        &self.pattern
+        &self.inner.pattern
     }
 
     /// The literal requirement derived from the pattern, if any: every
@@ -170,7 +184,7 @@ impl Regex {
     /// Callers (like the annotator's rule index) build shared multi-pattern
     /// prefilters from these.
     pub fn required_literals(&self) -> Option<&[String]> {
-        self.literals.as_deref()
+        self.inner.literals.as_deref()
     }
 
     /// Whether the pattern matches anywhere in `text`.
@@ -218,31 +232,33 @@ impl Regex {
         text: &'t str,
         engine: Engine,
     ) -> Result<Option<Captures<'t>>, MatchError> {
+        let re = &*self.inner;
         let slots = match engine {
             Engine::Auto => self.exec_auto(text),
             Engine::PikeVm => {
-                let policy = if self.anchored {
+                let policy = if re.anchored {
                     StartPolicy::Zero
                 } else {
                     StartPolicy::All
                 };
-                pike::exec(&self.prog, text, policy)
+                pike::exec(&re.prog, text, policy)
             }
             Engine::Backtracking => self.exec_backtracking(text)?,
         };
         Ok(slots.map(|slots| Captures {
             text,
             slots,
-            names: self.names.clone(),
+            names: Arc::clone(&re.names),
         }))
     }
 
     /// The default path: prefilter, then Pike VM over candidate starts.
     fn exec_auto(&self, text: &str) -> Option<pike::ByteSlots> {
-        if self.anchored {
-            return pike::exec(&self.prog, text, StartPolicy::Zero);
+        let re = &*self.inner;
+        if re.anchored {
+            return pike::exec(&re.prog, text, StartPolicy::Zero);
         }
-        match &self.prefilter {
+        match &re.prefilter {
             Prefilter::Prefixes(scanner) => START_BUF.with(|buf| {
                 let mut fallback = Vec::new();
                 let mut guard = buf.try_borrow_mut().ok();
@@ -254,15 +270,15 @@ impl Regex {
                 }
                 starts.sort_unstable();
                 starts.dedup();
-                pike::exec(&self.prog, text, StartPolicy::At(starts))
+                pike::exec(&re.prog, text, StartPolicy::At(starts))
             }),
             Prefilter::Inner(scanner) => {
                 if !scanner.matches_any(text) {
                     return None;
                 }
-                pike::exec(&self.prog, text, StartPolicy::All)
+                pike::exec(&re.prog, text, StartPolicy::All)
             }
-            Prefilter::None => pike::exec(&self.prog, text, StartPolicy::All),
+            Prefilter::None => pike::exec(&re.prog, text, StartPolicy::All),
         }
     }
 
@@ -279,7 +295,7 @@ impl Regex {
         }
         offsets.push(off);
         for start in 0..=chars.len() {
-            match vm::exec(&self.prog, &chars, start) {
+            match vm::exec(&self.inner.prog, &chars, start) {
                 vm::ExecOutcome::Match(slots) => {
                     let byte_slots = slots.iter().map(|s| s.map(|i| offsets[i])).collect();
                     return Ok(Some(byte_slots));
@@ -303,12 +319,12 @@ impl Regex {
 
     /// Number of capturing groups, excluding group 0.
     pub fn capture_count(&self) -> u32 {
-        self.prog.n_captures
+        self.inner.prog.n_captures
     }
 
     /// The names of the named capture groups, in index order.
     pub fn capture_names(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(|(_, n)| n.as_str())
+        self.inner.names.iter().map(|(_, n)| n.as_str())
     }
 
     /// Replaces the leftmost match with `replacement` (no `$` expansion).
@@ -402,7 +418,7 @@ impl<'t> Match<'t> {
 pub struct Captures<'t> {
     text: &'t str,
     slots: Vec<Option<usize>>,
-    names: Vec<(u32, String)>,
+    names: Arc<[(u32, String)]>,
 }
 
 impl<'t> Captures<'t> {
@@ -477,7 +493,7 @@ impl<'t> Iterator for FindIter<'_, 't> {
 /// The shared multi-pattern prefilter of a [`RegexSet`]: one scanner over
 /// the union of every member's required literals, mapping each literal back
 /// to the pattern that requires it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SetPrefilter {
     scanner: LiteralScanner,
     /// Pattern index owning each literal id.
@@ -504,8 +520,17 @@ struct SetPrefilter {
 /// assert_eq!(set.first_match("instance i-abc123 terminated"), Some(1));
 /// assert!(set.matches("all quiet").is_empty());
 /// ```
+///
+/// Like [`Regex`], a set is immutable once compiled and clones by
+/// reference count.
 #[derive(Debug, Clone, Default)]
 pub struct RegexSet {
+    inner: Arc<CompiledSet>,
+}
+
+/// The immutable compiled parts of a [`RegexSet`].
+#[derive(Debug, Default)]
+struct CompiledSet {
     regexes: Vec<Regex>,
     prefilter: Option<SetPrefilter>,
 }
@@ -541,7 +566,9 @@ impl RegexSet {
                 always,
             })
         };
-        Ok(RegexSet { regexes, prefilter })
+        Ok(RegexSet {
+            inner: Arc::new(CompiledSet { regexes, prefilter }),
+        })
     }
 
     /// Candidate pattern indices for `text` (sorted, deduplicated), written
@@ -558,6 +585,7 @@ impl RegexSet {
     /// and hands them (in index order) to `f`.
     fn with_candidates<T>(&self, text: &str, f: impl FnOnce(&[usize]) -> T) -> T {
         let pf = self
+            .inner
             .prefilter
             .as_ref()
             .expect("with_candidates requires a prefilter");
@@ -572,16 +600,16 @@ impl RegexSet {
 
     /// Indices of all patterns that match `text`.
     pub fn matches(&self, text: &str) -> Vec<usize> {
-        match &self.prefilter {
+        let regexes = &self.inner.regexes;
+        match &self.inner.prefilter {
             Some(_) => self.with_candidates(text, |cands| {
                 cands
                     .iter()
                     .copied()
-                    .filter(|&i| self.regexes[i].is_match(text))
+                    .filter(|&i| regexes[i].is_match(text))
                     .collect()
             }),
-            None => self
-                .regexes
+            None => regexes
                 .iter()
                 .enumerate()
                 .filter(|(_, re)| re.is_match(text))
@@ -592,30 +620,28 @@ impl RegexSet {
 
     /// Index of the first (lowest-index) matching pattern.
     pub fn first_match(&self, text: &str) -> Option<usize> {
-        match &self.prefilter {
+        let regexes = &self.inner.regexes;
+        match &self.inner.prefilter {
             Some(_) => self.with_candidates(text, |cands| {
-                cands
-                    .iter()
-                    .copied()
-                    .find(|&i| self.regexes[i].is_match(text))
+                cands.iter().copied().find(|&i| regexes[i].is_match(text))
             }),
-            None => self.regexes.iter().position(|re| re.is_match(text)),
+            None => regexes.iter().position(|re| re.is_match(text)),
         }
     }
 
     /// Number of patterns in the set.
     pub fn len(&self) -> usize {
-        self.regexes.len()
+        self.inner.regexes.len()
     }
 
     /// Whether the set contains no patterns.
     pub fn is_empty(&self) -> bool {
-        self.regexes.is_empty()
+        self.inner.regexes.is_empty()
     }
 
     /// The individual compiled patterns.
     pub fn regexes(&self) -> &[Regex] {
-        &self.regexes
+        &self.inner.regexes
     }
 }
 
