@@ -376,7 +376,7 @@ mod tests {
     fn gateway_report_warns_only_when_lines_were_shed() {
         let hist = {
             let obs = pod_obs::Obs::detached();
-            let h = obs.histogram("w", &[100, 1000]);
+            let h = obs.histogram("w");
             h.record(500);
             obs.snapshot().histogram("w").unwrap().clone()
         };

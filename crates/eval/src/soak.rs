@@ -652,7 +652,7 @@ fn replay_inner(
     // queue-wait histogram always links to a retained trace.
     let tail_ops: BTreeSet<String> = gw
         .obs()
-        .log_histogram("gateway.queue_wait_us")
+        .histogram("gateway.queue_wait_us")
         .exemplars()
         .iter()
         .filter_map(|e| {

@@ -20,20 +20,11 @@ use std::fmt;
 
 use pod_core::{PodEngine, RunSummary};
 use pod_log::{parse_line, Json, LineFormat, LogEvent};
-use pod_obs::{
-    Counter, Exemplar, FlightConfig, FlightRecorder, Histogram, HistogramSnapshot, LogHistogram,
-    Obs,
-};
+use pod_obs::{Counter, Exemplar, FlightConfig, FlightRecorder, Histogram, HistogramSnapshot, Obs};
 use pod_sim::{Clock, SimDuration, SimTime};
 
 use crate::queue::{BoundedQueue, OverloadPolicy, PushOutcome, QueuedLine};
 use crate::shard::shard_for;
-
-/// Histogram bounds for queue-wait and producer-stall times (µs): 100µs to
-/// 10s of virtual time.
-pub const QUEUE_WAIT_BOUNDS_US: &[u64] = &[
-    100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000, 10_000_000,
-];
 
 /// Where a gateway delivers parsed lines: one sink per registered
 /// operation. `pod_core::PodEngine` is the production implementation; tests
@@ -324,7 +315,7 @@ struct Shard {
     shed: u64,
     batches: u64,
     shed_counter: Counter,
-    queue_wait: LogHistogram,
+    queue_wait: Histogram,
 }
 
 /// Per-gateway metric handles, cached so the hot path never locks the
@@ -342,8 +333,8 @@ struct Metrics {
     parse_json: Counter,
     parse_plain: Counter,
     parse_unclassified: Counter,
-    queue_wait: LogHistogram,
-    stall: LogHistogram,
+    queue_wait: Histogram,
+    stall: Histogram,
     batch_fill: Histogram,
 }
 
@@ -412,7 +403,7 @@ impl Gateway {
                 shed: 0,
                 batches: 0,
                 shed_counter: obs.counter(&format!("gateway.shard.{i}.shed")),
-                queue_wait: obs.log_histogram(&format!("gateway.shard.{i}.queue_wait_us")),
+                queue_wait: obs.histogram(&format!("gateway.shard.{i}.queue_wait_us")),
             })
             .collect();
         let metrics = Metrics {
@@ -427,9 +418,9 @@ impl Gateway {
             parse_json: obs.counter("gateway.parse.json"),
             parse_plain: obs.counter("gateway.parse.plain"),
             parse_unclassified: obs.counter("gateway.parse.unclassified"),
-            queue_wait: obs.log_histogram("gateway.queue_wait_us"),
-            stall: obs.log_histogram("gateway.backpressure.stall_us"),
-            batch_fill: obs.histogram("gateway.batch_fill", &[1, 2, 4, 8, 16, 32, 64, 128]),
+            queue_wait: obs.histogram("gateway.queue_wait_us"),
+            stall: obs.histogram("gateway.backpressure.stall_us"),
+            batch_fill: obs.histogram("gateway.batch_fill"),
         };
         let flight = config
             .flight

@@ -6,8 +6,9 @@
 //! gives the running system the telemetry those numbers come from:
 //!
 //! - a **metrics registry** ([`Registry`]) of counters, gauges and
-//!   fixed-bucket histograms with cheaply cloneable handles and
-//!   [`Snapshot`] / diff support;
+//!   log-scale [`Histogram`]s (one bucket layout for all, no bounds to
+//!   choose, tail exemplars) with cheaply cloneable handles and
+//!   [`Snapshot`] / diff / merge support;
 //! - a **span layer** ([`Tracer`]) recording nested spans (upgrade step →
 //!   conformance replay → assertion eval → fault-tree walk → diagnostic
 //!   test → cloud API call) with virtual-clock start/end times and
@@ -62,7 +63,7 @@
 mod event;
 mod export;
 mod flight;
-mod hist2;
+mod hist;
 mod metrics;
 mod obs;
 mod render;
@@ -75,10 +76,8 @@ pub use export::{chrome_trace, otlp_json};
 pub use flight::{
     render_dashboard, FlightConfig, FlightDump, FlightFrame, FlightRecorder, IncidentMark,
 };
-pub use hist2::{log_bounds, Exemplar, LogHistogram, EXEMPLAR_CAP};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, LATENCY_BOUNDS_US,
-};
+pub use hist::{Exemplar, Histogram, HistogramSnapshot};
+pub use metrics::{Counter, Gauge, Registry, Snapshot};
 pub use obs::{Obs, TelemetryMode};
 pub use render::render_summary;
 pub use sampler::{RunSignals, SampleVerdict, SamplerConfig, TailSampler};

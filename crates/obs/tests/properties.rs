@@ -18,14 +18,14 @@ fn arb_signals() -> impl Strategy<Value = RunSignals> {
 
 proptest! {
     /// Percentile estimates are monotone in q and always bounded by the
-    /// observed min/max, whatever the data and bucket layout.
+    /// observed min/max, whatever the data.
     #[test]
     fn histogram_quantiles_are_monotone_and_bounded(
         values in prop::collection::vec(0u64..5_000_000, 1..200),
         qs in prop::collection::vec(0.0..1.0f64, 2..20),
     ) {
         let reg = Registry::new();
-        let h = reg.histogram("h", pod_obs::LATENCY_BOUNDS_US);
+        let h = reg.histogram("h");
         for &v in &values {
             h.record(v);
         }
@@ -48,20 +48,56 @@ proptest! {
         prop_assert_eq!(hist.quantile(1.0).unwrap(), hi);
     }
 
-    /// diff followed by merge round-trips counter totals.
+    /// A quantile estimate never under-reports the exact nearest-rank
+    /// value and exceeds it by at most an eighth of it: the error bound
+    /// the bucket layout promises, at every scale below 2^39.
+    #[test]
+    fn histogram_quantile_is_within_an_eighth_of_the_nearest_rank(
+        mut values in prop::collection::vec(0u64..(1 << 39), 1..200),
+        q in 0.0..1.0f64,
+    ) {
+        let reg = Registry::new();
+        let h = reg.histogram("h");
+        for &v in &values {
+            h.record(v);
+        }
+        let snap = reg.snapshot();
+        let estimate = snap.histogram("h").unwrap().quantile(q).unwrap();
+        values.sort_unstable();
+        let rank = ((q * values.len() as f64).ceil() as usize).max(1);
+        let exact = values[rank - 1];
+        prop_assert!(estimate >= exact, "q={q}: estimate {estimate} < exact {exact}");
+        prop_assert!(
+            estimate - exact <= exact / 8,
+            "q={q}: estimate {estimate} exceeds exact {exact} by more than 1/8"
+        );
+    }
+
+    /// diff followed by merge round-trips counter totals and histograms,
+    /// and merging two histograms' snapshots equals the snapshot of one
+    /// histogram that recorded both sets.
     #[test]
     fn snapshot_diff_then_merge_roundtrips(
         first in prop::collection::vec(0u64..100, 1..8),
         second in prop::collection::vec(0u64..100, 1..8),
+        first_obs in prop::collection::vec(0u64..10_000_000, 0..50),
+        second_obs in prop::collection::vec(0u64..10_000_000, 0..50),
     ) {
         let reg = Registry::new();
         let c = reg.counter("c");
+        let h = reg.histogram("h");
         for &n in &first {
             c.add(n);
+        }
+        for &v in &first_obs {
+            h.record(v);
         }
         let mid = reg.snapshot();
         for &n in &second {
             c.add(n);
+        }
+        for &v in &second_obs {
+            h.record(v);
         }
         let end = reg.snapshot();
         let delta = end.diff(&mid);
@@ -69,6 +105,26 @@ proptest! {
         let mut rebuilt = mid.clone();
         rebuilt.merge(&delta);
         prop_assert_eq!(rebuilt.counter("c"), end.counter("c"));
+
+        let (rebuilt_h, end_h) = (rebuilt.histogram("h").unwrap(), end.histogram("h").unwrap());
+        prop_assert_eq!(rebuilt_h.count, end_h.count);
+        prop_assert_eq!(rebuilt_h.sum, end_h.sum);
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            prop_assert_eq!(rebuilt_h.quantile(q), end_h.quantile(q), "q={}", q);
+        }
+
+        let (a_reg, b_reg, both_reg) = (Registry::new(), Registry::new(), Registry::new());
+        for &v in &first_obs {
+            a_reg.histogram("h").record(v);
+            both_reg.histogram("h").record(v);
+        }
+        for &v in &second_obs {
+            b_reg.histogram("h").record(v);
+            both_reg.histogram("h").record(v);
+        }
+        let mut merged = a_reg.snapshot();
+        merged.merge(&b_reg.snapshot());
+        prop_assert_eq!(merged.histogram("h"), both_reg.snapshot().histogram("h"));
     }
 
     /// Tail-sampler accounting never loses a decision: whatever mix of
