@@ -256,34 +256,31 @@ impl PodEngine {
     ///
     /// This is the gateway's amortized entry point: the whole batch runs
     /// through the pipeline's batch-aware API (one counter flush per
-    /// batch), the causal-event ring handle is resolved once instead of per
-    /// line, and the timer wheel is only consulted once per batch.
+    /// batch), and the timer wheel is only consulted once per batch.
     pub fn ingest_batch(&mut self, events: impl IntoIterator<Item = LogEvent>) {
         let outs = self.pipeline.push_batch(events.into_iter().collect());
-        let ring = self.cloud.obs().events().clone();
         for out in outs {
-            self.handle_pipeline_output(out, &ring);
+            self.handle_pipeline_output(out);
         }
         self.fire_due_timers();
     }
 
     fn ingest_line(&mut self, event: LogEvent) {
         let out = self.pipeline.push(event);
-        let ring = self.cloud.obs().events().clone();
-        self.handle_pipeline_output(out, &ring);
+        self.handle_pipeline_output(out);
     }
 
     /// Applies one line's pipeline output: forwarded events go to central
     /// storage and triggers run scoped under the line's *pending* `log.line`
     /// causal root, so conformance verdicts, assertion results and timer
     /// arming all chain back to the line that caused them. The root only
-    /// materialises in the event ring when something actually emits under
-    /// it — healthy lines (fit verdicts, passing assertions) record nothing.
-    fn handle_pipeline_output(&mut self, out: PipelineOutput, ring: &pod_obs::EventLog) {
+    /// materialises in the trace when something actually emits under it —
+    /// healthy lines (fit verdicts, passing assertions) record nothing.
+    fn handle_pipeline_output(&mut self, out: PipelineOutput) {
         self.storage.extend(out.forwarded);
         let _scope = match out.cause {
             Some(c) => self.cloud.obs().scope_cause("log.line", c.source, c.attrs),
-            None => ring.scope(None),
+            None => self.cloud.obs().trace().scope(None),
         };
         for trigger in out.triggers {
             match trigger {
@@ -468,7 +465,7 @@ impl PodEngine {
         let now = self.cloud.clock().now();
         self.op_started = Some(now);
         // Periodic checks chain back to the operation-start log line.
-        let cause = self.cloud.obs().events().current_cause();
+        let cause = self.cloud.obs().trace().current_cause();
         let id = self.timers.schedule_periodic(
             now + self.periodic_interval,
             self.periodic_interval,
@@ -493,7 +490,7 @@ impl PodEngine {
         let at = self.cloud.clock().now() + self.step_timeout;
         // A timeout firing later still chains to the wait-activity line
         // that armed it.
-        let cause = self.cloud.obs().events().current_cause();
+        let cause = self.cloud.obs().trace().current_cause();
         let id = self.timers.schedule_once(
             at,
             TimerPayload::StepCompletion {
@@ -532,7 +529,7 @@ impl PodEngine {
                     // Fault-tree tests, causes and the verdict chain under
                     // the dispatch event.
                     let report = {
-                        let _scope = obs.events().scope(Some(dispatch.id()));
+                        let _scope = obs.trace().scope(Some(dispatch.id()));
                         self.run_diagnosis(&key, step, instance)
                     };
                     if let Some(d) = self.summary.detections.get_mut(detection_index) {
@@ -570,8 +567,7 @@ impl PodEngine {
             c
         };
         let record = {
-            let events = self.cloud.obs().events().clone();
-            let _scope = events.scope(cause);
+            let _scope = self.cloud.obs().trace().scope(cause);
             self.evaluator
                 .evaluate(&assertion, &env, AssertionTrigger::OneOffTimer, Some(&ctx))
         };
@@ -614,8 +610,7 @@ impl PodEngine {
         let ctx = ProcessContext::new(self.process_id.clone(), self.trace_id.clone());
         for assertion in checks {
             let record = {
-                let events = self.cloud.obs().events().clone();
-                let _scope = events.scope(cause);
+                let _scope = self.cloud.obs().trace().scope(cause);
                 self.evaluator.evaluate(
                     &assertion,
                     &env,

@@ -9,7 +9,7 @@ use pod_cloud::{Cloud, InstanceId};
 use pod_core::PodEngine;
 use pod_faulttree::TestOrder;
 use pod_log::LogEvent;
-use pod_obs::{EventRecord, SpanRecord};
+use pod_obs::TraceRecord;
 use pod_orchestrator::{
     FaultInjector, FaultType, Interference, RollingUpgrade, UpgradeObserver, UpgradeOutcome,
 };
@@ -136,16 +136,14 @@ pub struct IncidentSummary {
     pub elapsed_us: u64,
 }
 
-/// The raw spans and causal events of one run, retained for trace export
-/// (Chrome trace-event and OTLP JSON).
+/// The raw trace of one run (spans and causal events), retained for trace
+/// export (Chrome trace-event and OTLP JSON).
 #[derive(Debug, Clone)]
 pub struct TraceDump {
     /// The run's trace id.
     pub trace_id: String,
-    /// Every finished span of the run.
-    pub spans: Vec<SpanRecord>,
-    /// Every causal event of the run.
-    pub events: Vec<EventRecord>,
+    /// Every retained record of the run.
+    pub records: Vec<TraceRecord>,
 }
 
 /// The record of one executed run.
@@ -561,7 +559,7 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
     let scenario = build_scenario(&plan.scenario);
     // One trace per run; the baseline diff keeps scenario-setup admin
     // traffic out of the run's metric snapshot. `begin_run` resets the
-    // span trace and the causal-event ring together.
+    // whole trace: spans and causal events alike.
     scenario.cloud.obs().begin_run(&scenario.trace_id);
     let obs_baseline = scenario.cloud.obs().snapshot();
     let mut engine = build_engine(&scenario, &plan.scenario);
@@ -594,7 +592,7 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
     let summary = observer.engine.finish();
     // The recovery stage runs before the trace/metric capture so the whole
     // detection → diagnosis → recovery → verification arc lands in one
-    // causal-event ring and one metric snapshot.
+    // trace and one metric snapshot.
     let recoveries = match dispatcher {
         Some(dispatcher) => {
             let mut d = dispatcher.borrow_mut();
@@ -613,11 +611,10 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
     let obs = run_obs.snapshot().diff(&obs_baseline);
     let dump = TraceDump {
         trace_id: scenario.trace_id.clone(),
-        spans: run_obs.tracer().finished(),
-        events: run_obs.events().records(),
+        records: run_obs.trace().records(),
     };
-    let stage_self_us = stage_self_times(&dump.spans);
-    let incidents = pod_obs::incidents(&dump.events)
+    let stage_self_us = stage_self_times(&dump.records);
+    let incidents = pod_obs::incidents(&dump.records)
         .iter()
         .map(|c| IncidentSummary {
             detection: c.detection.name.to_string(),
@@ -646,8 +643,8 @@ fn execute_run_once(plan: &RunPlan) -> (RunRecord, TraceDump) {
         obs,
         stage_self_us,
         incidents,
-        spans_dropped: run_obs.tracer().dropped(),
-        events_dropped: run_obs.events().dropped(),
+        spans_dropped: run_obs.trace().spans_dropped(),
+        events_dropped: run_obs.trace().events_dropped(),
         recoveries,
     };
     (record, dump)
@@ -928,7 +925,7 @@ mod tests {
                 "fault {:?}: no unbroken chain in {:#?}\ntimelines:\n{}",
                 plan.fault,
                 record.incidents,
-                pod_obs::render_timelines(&dump.events),
+                pod_obs::render_timelines(&dump.records),
             );
         }
     }
@@ -944,8 +941,8 @@ mod tests {
             ..CampaignConfig::default()
         });
         let (record, dump) = execute_run_traced(&c.plans()[0]);
-        assert!(!dump.spans.is_empty());
-        assert!(!dump.events.is_empty());
+        assert!(dump.records.iter().any(|r| r.is_span()));
+        assert!(dump.records.iter().any(|r| !r.is_span()));
         assert!(dump.trace_id.starts_with("run-"));
         // Healthy API calls are counted, not traced (outcome-conditional
         // tracing), so the stage map attributes to the process steps.
@@ -1044,7 +1041,7 @@ mod tests {
         assert!(report
             .last_trace
             .as_ref()
-            .is_some_and(|t| !t.events.is_empty()));
+            .is_some_and(|t| t.records.iter().any(|r| !r.is_span())));
         assert!(
             report.overall.detection_recall() >= 0.9,
             "recall {} (missed: {:?})",

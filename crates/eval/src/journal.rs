@@ -8,7 +8,7 @@
 //! the `run` id it belongs to.
 
 use pod_log::Json;
-use pod_obs::{EventRecord, FlightDump, IncidentChain, Snapshot, SpanRecord};
+use pod_obs::{FlightDump, IncidentChain, Snapshot, TraceRecord};
 
 use crate::campaign::{FaultRecoveryStats, PhaseStats, RecoveryStats};
 use crate::metrics::MetricSet;
@@ -153,21 +153,22 @@ pub fn flight_json(run: &str, dump: &FlightDump) -> Json {
     doc
 }
 
-/// One record per finished span.
-pub fn span_lines(run: &str, spans: &[SpanRecord]) -> Vec<Json> {
-    spans
+/// One journal record per finished span in `records`.
+pub fn span_lines(run: &str, records: &[TraceRecord]) -> Vec<Json> {
+    records
         .iter()
+        .filter(|r| r.is_span())
         .map(|s| {
             let mut o = Json::object();
             o.set("record", Json::str("span"));
             o.set("run", Json::str(run));
             o.set("id", num(s.id));
-            if let Some(parent) = s.parent {
+            if let Some(parent) = s.span {
                 o.set("parent", num(parent));
             }
-            o.set("name", Json::str(s.name));
+            o.set("name", Json::str(s.name.clone()));
             o.set("start_us", num(s.start.as_micros()));
-            o.set("end_us", num(s.end.as_micros()));
+            o.set("end_us", num(s.end.unwrap_or(s.start).as_micros()));
             if !s.attrs.is_empty() {
                 let mut attrs = Json::object();
                 for (k, v) in &s.attrs {
@@ -180,24 +181,25 @@ pub fn span_lines(run: &str, spans: &[SpanRecord]) -> Vec<Json> {
         .collect()
 }
 
-/// One record per causal event.
-pub fn event_lines(run: &str, events: &[EventRecord]) -> Vec<Json> {
-    events
+/// One journal record per causal event in `records`.
+pub fn event_lines(run: &str, records: &[TraceRecord]) -> Vec<Json> {
+    records
         .iter()
+        .filter(|r| !r.is_span())
         .map(|e| {
             let mut o = Json::object();
             o.set("record", Json::str("event"));
             o.set("run", Json::str(run));
             o.set("id", num(e.id));
-            if let Some(parent) = e.parent {
-                o.set("cause", num(parent));
+            if let Some(cause) = e.cause {
+                o.set("cause", num(cause));
             }
             if let Some(span) = e.span {
                 o.set("span", num(span));
             }
             o.set("kind", Json::str(e.kind));
             o.set("name", Json::str(e.name.clone()));
-            o.set("at_us", num(e.at.as_micros()));
+            o.set("at_us", num(e.start.as_micros()));
             if !e.attrs.is_empty() {
                 let mut attrs = Json::object();
                 for (k, v) in &e.attrs {
@@ -498,7 +500,7 @@ mod tests {
     #[test]
     fn journal_lines_are_valid_json() {
         let obs = Obs::detached();
-        obs.tracer().begin_trace("run-7");
+        obs.begin_run("run-7");
         obs.counter("cloud.api.calls").add(3);
         obs.histogram("cloud.api.latency_us").record(250);
         {
@@ -507,7 +509,7 @@ mod tests {
             obs.clock().advance(pod_sim::SimDuration::from_millis(5));
         }
         let mut lines = snapshot_lines("run-7", &obs.snapshot());
-        lines.extend(span_lines("run-7", &obs.tracer().finished()));
+        lines.extend(span_lines("run-7", &obs.trace().records()));
         let text = render_journal(&lines);
         assert!(lines.len() >= 3);
         for line in text.lines() {
@@ -529,12 +531,14 @@ mod tests {
         );
         assert_eq!(parsed.get("value").unwrap().as_f64(), Some(1.0));
 
-        let spans = [SpanRecord {
+        let spans = [TraceRecord {
             id: 1,
-            parent: None,
-            name: "x",
+            cause: None,
+            span: None,
             start: SimTime::ZERO,
-            end: SimTime::from_millis(2),
+            end: Some(SimTime::from_millis(2)),
+            kind: "span",
+            name: "x".into(),
             attrs: vec![("k", "v".into())],
         }];
         let line = &span_lines("r", &spans)[0];
@@ -578,7 +582,7 @@ mod tests {
         let line = obs.event("log.line", "asgard.log");
         let det = obs.event_under(line.id(), "detection", "assertion-log");
         obs.event_under(det.id(), "diagnosis.verdict", "root-cause-identified");
-        let events = obs.events().records();
+        let events = obs.trace().records();
         let lines = event_lines("run-9", &events);
         assert_eq!(lines.len(), 3);
         let parsed = Json::parse(&lines[1].to_string()).unwrap();

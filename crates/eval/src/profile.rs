@@ -11,28 +11,18 @@
 use std::collections::BTreeMap;
 
 use pod_log::Json;
-use pod_obs::SpanRecord;
+use pod_obs::TraceRecord;
 use pod_orchestrator::FaultType;
 use pod_sim::SimDuration;
 
 /// Computes one run's latency budget: span name → summed *self* virtual
-/// time in microseconds (child-span time subtracted).
-pub fn stage_self_times(spans: &[SpanRecord]) -> BTreeMap<String, u64> {
-    let mut child_time: BTreeMap<u64, u64> = BTreeMap::new();
-    for span in spans {
-        if let Some(parent) = span.parent {
-            *child_time.entry(parent).or_insert(0) += span.duration().as_micros();
-        }
-    }
-    let mut by_name: BTreeMap<String, u64> = BTreeMap::new();
-    for span in spans {
-        let own = span
-            .duration()
-            .as_micros()
-            .saturating_sub(child_time.get(&span.id).copied().unwrap_or(0));
-        *by_name.entry(span.name.to_string()).or_insert(0) += own;
-    }
-    by_name
+/// time in microseconds (child-span time subtracted; see
+/// [`pod_obs::span_times`]). Events in `records` are skipped.
+pub fn stage_self_times(records: &[TraceRecord]) -> BTreeMap<String, u64> {
+    pod_obs::span_times(records)
+        .into_iter()
+        .map(|(name, time)| (name.to_string(), time.self_us))
+        .collect()
 }
 
 /// The per-stage distribution for one fault type.
@@ -200,36 +190,6 @@ impl LatencyProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pod_sim::SimTime;
-
-    fn span(
-        id: u64,
-        parent: Option<u64>,
-        name: &'static str,
-        start_ms: u64,
-        end_ms: u64,
-    ) -> SpanRecord {
-        SpanRecord {
-            id,
-            parent,
-            name,
-            start: SimTime::from_millis(start_ms),
-            end: SimTime::from_millis(end_ms),
-            attrs: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn self_time_subtracts_children() {
-        let spans = vec![
-            span(0, None, "faulttree.walk", 0, 100),
-            span(1, Some(0), "cloud.api.call", 10, 40),
-            span(2, Some(0), "cloud.api.call", 50, 70),
-        ];
-        let budget = stage_self_times(&spans);
-        assert_eq!(budget["faulttree.walk"], 50_000); // 100ms - 50ms children
-        assert_eq!(budget["cloud.api.call"], 50_000);
-    }
 
     #[test]
     fn quantiles_are_nearest_rank() {

@@ -698,11 +698,11 @@ fn replay_inner(
         if retained {
             if let Some(fault) = stream.fault {
                 // Zero-clone accounting: the spans and events are read in
-                // place — deep-copying the rings here would cost more than
+                // place — deep-copying the ring here would cost more than
                 // the telemetry being measured.
-                latency.record(fault, &obs.tracer().with_finished(stage_self_times));
+                latency.record(fault, &obs.trace().with_records(stage_self_times));
             }
-            op_incidents = obs.events().with_records(pod_obs::incident_count);
+            op_incidents = obs.trace().with_records(pod_obs::incident_count);
             incidents_total += op_incidents;
             kept_traces += 1;
         } else if mode == TelemetryMode::Sampled {

@@ -412,7 +412,7 @@ impl Walk<'_> {
         let emitted = obs.event("faulttree.test", id);
         // Consistent-layer retries made by the test chain under it.
         let result = {
-            let _scope = obs.events().scope(Some(emitted.id()));
+            let _scope = obs.trace().scope(Some(emitted.id()));
             test.run(&self.engine.api, self.ctx)
         };
         let tag = match &result {

@@ -669,13 +669,16 @@ mod tests {
         // Noise: no causal root, nothing captured.
         let out = p.push(event("jvm gc pause 12ms"));
         assert!(out.cause.is_none());
-        assert!(obs.events().is_empty());
+        assert!(obs.trace().records().is_empty());
 
         // Known activity: a lazy root with message and step attrs — and
         // crucially *nothing* recorded in the ring yet.
         let out = p.push(event("Instance i-aa is ready for use"));
         let cause = out.cause.expect("forwarded line has a cause");
-        assert!(obs.events().is_empty(), "lazy root must not record eagerly");
+        assert!(
+            obs.trace().records().is_empty(),
+            "lazy root must not record eagerly"
+        );
         assert_eq!(cause.source, "asgard.log");
         assert!(cause
             .attrs
@@ -690,11 +693,11 @@ mod tests {
             let _scope = obs.scope_cause("log.line", cause.source, cause.attrs);
             obs.event("conformance.verdict", "conformance:unfit");
         }
-        let records = obs.events().records();
+        let records = obs.trace().records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].kind, "log.line");
         assert_eq!(records[0].name, "asgard.log");
-        assert_eq!(records[1].parent, Some(records[0].id));
+        assert_eq!(records[1].cause, Some(records[0].id));
 
         // Trigger-only (unknown but relevant) lines also get a cause.
         let out = p.push(event("upgrade hit unexpected state"));

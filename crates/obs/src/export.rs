@@ -1,8 +1,8 @@
 //! Trace exporters: Chrome trace-event JSON (loadable in Perfetto /
 //! `chrome://tracing`) and an OTLP-style JSON document for spans+events.
 //!
-//! Both exporters serialise the same inputs — the finished [`SpanRecord`]s
-//! of a trace plus its causal [`EventRecord`]s — and both are pure string
+//! Both exporters serialise the same input — the [`TraceRecord`]s of one
+//! trace, spans and causal events alike — and both are pure string
 //! builders: `pod-obs` sits below `pod-log` in the dependency order, so it
 //! cannot reuse the `pod-log` JSON value type and instead does its own
 //! (minimal, escape-correct) serialisation.
@@ -12,10 +12,10 @@
 //! them up to nanoseconds. Under a fixed seed the exported documents are
 //! byte-identical across runs.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use crate::event::EventRecord;
-use crate::span::SpanRecord;
+use crate::trace::TraceRecord;
 
 /// Escapes `s` for embedding inside a JSON string literal.
 fn escape_json(s: &str) -> String {
@@ -50,8 +50,8 @@ fn args_object(pairs: &[(&'static str, String)], extra: &[(&str, String)]) -> St
 /// Renders a Chrome trace-event JSON document for one trace.
 ///
 /// Spans become `ph:"X"` complete events, causal events become `ph:"i"`
-/// instants, and every parent→child causal link becomes a `ph:"s"`/`ph:"f"`
-/// flow pair so the evidence chain renders as arrows. Every emitted object
+/// instants, and every cause→effect link becomes a `ph:"s"`/`ph:"f"` flow
+/// pair so the evidence chain renders as arrows. Every emitted object
 /// carries the `ph`, `ts`, `pid`, `tid` and `name` keys.
 ///
 /// # Examples
@@ -63,21 +63,23 @@ fn args_object(pairs: &[(&'static str, String)], extra: &[(&str, String)]) -> St
 /// obs.begin_run("run-1");
 /// drop(obs.span("conformance.replay"));
 /// obs.event("log.line", "asgard.log");
-/// let json = chrome_trace("run-1", &obs.tracer().finished(), &obs.events().records());
+/// let json = chrome_trace("run-1", &obs.trace().records());
 /// assert!(json.contains("\"traceEvents\""));
 /// assert!(json.contains("\"ph\":\"X\""));
 /// assert!(json.contains("\"ph\":\"i\""));
 /// ```
-pub fn chrome_trace(trace_id: &str, spans: &[SpanRecord], events: &[EventRecord]) -> String {
-    let mut entries: Vec<String> = Vec::with_capacity(spans.len() + events.len() * 3 + 1);
+pub fn chrome_trace(trace_id: &str, records: &[TraceRecord]) -> String {
+    let spans = || records.iter().filter(|r| r.is_span());
+    let events = || records.iter().filter(|r| !r.is_span());
+    let mut entries: Vec<String> = Vec::with_capacity(records.len() * 3 + 1);
     entries.push(format!(
         "{{\"ph\":\"M\",\"ts\":0,\"pid\":1,\"tid\":1,\"name\":\"process_name\",\
          \"args\":{{\"name\":\"{}\"}}}}",
         escape_json(trace_id)
     ));
-    for span in spans {
+    for span in spans() {
         let mut extra = vec![("span_id", span.id.to_string())];
-        if let Some(parent) = span.parent {
+        if let Some(parent) = span.span {
             extra.push(("parent_span_id", parent.to_string()));
         }
         entries.push(format!(
@@ -85,14 +87,14 @@ pub fn chrome_trace(trace_id: &str, spans: &[SpanRecord], events: &[EventRecord]
              \"cat\":\"span\",\"args\":{}}}",
             span.start.as_micros(),
             span.duration().as_micros(),
-            escape_json(span.name),
+            escape_json(&span.name),
             args_object(&span.attrs, &extra),
         ));
     }
-    for event in events {
+    for event in events() {
         let mut extra = vec![("event_id", event.id.to_string())];
-        if let Some(parent) = event.parent {
-            extra.push(("cause", parent.to_string()));
+        if let Some(cause) = event.cause {
+            extra.push(("cause", cause.to_string()));
         }
         if let Some(span) = event.span {
             extra.push(("span_id", span.to_string()));
@@ -100,31 +102,29 @@ pub fn chrome_trace(trace_id: &str, spans: &[SpanRecord], events: &[EventRecord]
         entries.push(format!(
             "{{\"ph\":\"i\",\"ts\":{},\"pid\":1,\"tid\":1,\"name\":\"{}\",\
              \"cat\":\"{}\",\"s\":\"t\",\"args\":{}}}",
-            event.at.as_micros(),
+            event.start.as_micros(),
             escape_json(&event.name),
             escape_json(event.kind),
             args_object(&event.attrs, &extra),
         ));
     }
-    // Flow arrows for causal links. The flow id is the child event's id
-    // (unique, since every event has at most one parent).
-    for event in events {
-        let Some(parent_id) = event.parent else {
-            continue;
-        };
-        let Some(parent) = events.iter().find(|e| e.id == parent_id) else {
-            continue; // parent evicted from the ring
+    // Flow arrows for causal links. The flow id is the effect's event id
+    // (unique, since every event has at most one cause).
+    let by_id: BTreeMap<u64, &TraceRecord> = events().map(|e| (e.id, e)).collect();
+    for event in events() {
+        let Some(cause) = event.cause.and_then(|id| by_id.get(&id)) else {
+            continue; // a root, or its cause was evicted from the ring
         };
         entries.push(format!(
             "{{\"ph\":\"s\",\"ts\":{},\"pid\":1,\"tid\":1,\"name\":\"cause\",\
              \"cat\":\"cause\",\"id\":{}}}",
-            parent.at.as_micros(),
+            cause.start.as_micros(),
             event.id,
         ));
         entries.push(format!(
             "{{\"ph\":\"f\",\"bp\":\"e\",\"ts\":{},\"pid\":1,\"tid\":1,\"name\":\"cause\",\
              \"cat\":\"cause\",\"id\":{}}}",
-            event.at.as_micros(),
+            event.start.as_micros(),
             event.id,
         ));
     }
@@ -176,35 +176,42 @@ fn otlp_attrs<K: AsRef<str>>(pairs: &[(K, String)]) -> String {
 /// let obs = Obs::detached();
 /// obs.begin_run("run-1");
 /// drop(obs.span("faulttree.walk"));
-/// let json = otlp_json("run-1", &obs.tracer().finished(), &obs.events().records());
+/// let json = otlp_json("run-1", &obs.trace().records());
 /// assert!(json.contains("\"resourceSpans\""));
 /// assert!(json.contains("faulttree.walk"));
 /// ```
-pub fn otlp_json(trace_id: &str, spans: &[SpanRecord], events: &[EventRecord]) -> String {
+pub fn otlp_json(trace_id: &str, records: &[TraceRecord]) -> String {
     let trace_hex = otlp_trace_id(trace_id);
     let nanos = |us: u64| us.saturating_mul(1000);
-    let event_json = |event: &EventRecord| -> String {
+    let event_json = |event: &TraceRecord| -> String {
         let mut attrs: Vec<(&'static str, String)> = vec![("event.kind", event.kind.to_string())];
-        if let Some(parent) = event.parent {
-            attrs.push(("event.cause", parent.to_string()));
+        if let Some(cause) = event.cause {
+            attrs.push(("event.cause", cause.to_string()));
         }
         attrs.push(("event.id", event.id.to_string()));
         attrs.extend(event.attrs.iter().cloned());
         format!(
             "{{\"timeUnixNano\":\"{}\",\"name\":\"{}\",\"attributes\":{}}}",
-            nanos(event.at.as_micros()),
+            nanos(event.start.as_micros()),
             escape_json(&event.name),
             otlp_attrs(&attrs),
         )
     };
-    let span_ids: std::collections::BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
-    let mut span_entries: Vec<String> = Vec::with_capacity(spans.len() + 1);
-    for span in spans {
-        let span_events: Vec<String> = events
-            .iter()
-            .filter(|e| e.span == Some(span.id))
-            .map(event_json)
-            .collect();
+    let spans = || records.iter().filter(|r| r.is_span());
+    let events = || records.iter().filter(|r| !r.is_span());
+    let span_ids: BTreeSet<u64> = spans().map(|s| s.id).collect();
+    // Each event's JSON, grouped under its span (in emission order);
+    // events outside every retained span go to the synthetic root.
+    let mut span_events: BTreeMap<u64, Vec<String>> = BTreeMap::new();
+    let mut orphan_events: Vec<String> = Vec::new();
+    for event in events() {
+        match event.span.filter(|s| span_ids.contains(s)) {
+            Some(span) => span_events.entry(span).or_default().push(event_json(event)),
+            None => orphan_events.push(event_json(event)),
+        }
+    }
+    let mut span_entries: Vec<String> = Vec::with_capacity(span_ids.len() + 1);
+    for span in spans() {
         span_entries.push(format!(
             "{{\"traceId\":\"{}\",\"spanId\":\"{:016x}\",\"parentSpanId\":\"{}\",\
              \"name\":\"{}\",\"kind\":1,\
@@ -212,24 +219,21 @@ pub fn otlp_json(trace_id: &str, spans: &[SpanRecord], events: &[EventRecord]) -
              \"attributes\":{},\"events\":[{}]}}",
             trace_hex,
             span.id + 1, // OTLP forbids the all-zero span id
-            span.parent
+            span.span
                 .map(|p| format!("{:016x}", p + 1))
                 .unwrap_or_default(),
-            escape_json(span.name),
+            escape_json(&span.name),
             nanos(span.start.as_micros()),
-            nanos(span.end.as_micros()),
+            nanos(span.end.unwrap_or(span.start).as_micros()),
             otlp_attrs(&span.attrs),
-            span_events.join(","),
+            span_events
+                .get(&span.id)
+                .map_or(String::new(), |e| e.join(",")),
         ));
     }
-    let orphan_events: Vec<String> = events
-        .iter()
-        .filter(|e| e.span.map(|s| !span_ids.contains(&s)).unwrap_or(true))
-        .map(event_json)
-        .collect();
     if !orphan_events.is_empty() {
-        let start = events.iter().map(|e| e.at.as_micros()).min().unwrap_or(0);
-        let end = events.iter().map(|e| e.at.as_micros()).max().unwrap_or(0);
+        let start = events().map(|e| e.start.as_micros()).min().unwrap_or(0);
+        let end = events().map(|e| e.start.as_micros()).max().unwrap_or(0);
         span_entries.push(format!(
             "{{\"traceId\":\"{}\",\"spanId\":\"{:016x}\",\"parentSpanId\":\"\",\
              \"name\":\"{}\",\"kind\":1,\
@@ -274,7 +278,7 @@ mod tests {
     #[test]
     fn chrome_trace_has_required_keys_and_escapes_strings() {
         let obs = sample_obs();
-        let json = chrome_trace("run-x", &obs.tracer().finished(), &obs.events().records());
+        let json = chrome_trace("run-x", &obs.trace().records());
         for key in ["\"ph\":", "\"ts\":", "\"pid\":", "\"tid\":", "\"name\":"] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
@@ -292,7 +296,7 @@ mod tests {
     #[test]
     fn otlp_json_nests_events_under_their_span() {
         let obs = sample_obs();
-        let json = otlp_json("run-x", &obs.tracer().finished(), &obs.events().records());
+        let json = otlp_json("run-x", &obs.trace().records());
         assert!(json.contains("\"resourceSpans\""));
         assert!(json.contains("\"name\":\"conformance.replay\""));
         assert!(json.contains("\"name\":\"asgard.log\""));
@@ -307,7 +311,7 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("run-y");
         obs.event("log.line", "asgard.log");
-        let json = otlp_json("run-y", &obs.tracer().finished(), &obs.events().records());
+        let json = otlp_json("run-y", &obs.trace().records());
         assert!(json.contains(&format!("{:016x}", u64::MAX)), "got:\n{json}");
         assert!(json.contains("\"name\":\"run-y\""));
     }

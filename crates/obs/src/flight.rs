@@ -161,16 +161,6 @@ impl FlightRecorder {
         self.force_frame();
     }
 
-    /// The number of retained frames.
-    pub fn frames_len(&self) -> usize {
-        self.inner.lock().unwrap().frames.len()
-    }
-
-    /// The number of retained incident marks.
-    pub fn incidents_len(&self) -> usize {
-        self.inner.lock().unwrap().incidents.len()
-    }
-
     /// Copies the black box out.
     pub fn dump(&self) -> FlightDump {
         let inner = self.inner.lock().unwrap();

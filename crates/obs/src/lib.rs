@@ -9,24 +9,24 @@
 //!   log-scale [`Histogram`]s (one bucket layout for all, no bounds to
 //!   choose, tail exemplars) with cheaply cloneable handles and
 //!   [`Snapshot`] / diff / merge support;
-//! - a **span layer** ([`Tracer`]) recording nested spans (upgrade step →
-//!   conformance replay → assertion eval → fault-tree walk → diagnostic
-//!   test → cloud API call) with virtual-clock start/end times and
-//!   key/value attributes, one trace per run id;
-//! - a **causal event log** ([`EventLog`]) — ring-buffered instantaneous
-//!   events with explicit parent links and span/trace correlation, emitted
-//!   at every pipeline hand-off so each incident carries its evidence
-//!   chain;
+//! - one **trace** ([`Trace`]) per run id: a ring of [`TraceRecord`]s
+//!   behind one lock. A span is a record with an end — nested spans
+//!   (upgrade step → conformance replay → assertion eval → fault-tree walk
+//!   → diagnostic test → cloud API call) with virtual-clock start/end times
+//!   and key/value attributes. A causal event is a record without one —
+//!   emitted at every pipeline hand-off with an explicit cause link and
+//!   the enclosing span, so each incident carries its evidence chain;
 //! - **exporters**: Chrome trace-event JSON ([`chrome_trace`],
-//!   Perfetto-loadable) and an OTLP-style JSON document ([`otlp_json`]) for
-//!   spans+events;
+//!   Perfetto-loadable) and an OTLP-style JSON document ([`otlp_json`]),
+//!   both over the one record stream;
 //! - an **incident timeline explainer** ([`incidents`],
 //!   [`render_timelines`]) reconstructing, per detection, the ordered
 //!   causal chain from the triggering log line to the reported root cause
 //!   with per-hop latency;
 //! - **ASCII sinks**: a metrics summary table ([`render_summary`]), a span
-//!   tree ([`Tracer::render_tree`]) and a flame-style aggregation
-//!   ([`Tracer::render_flame`]).
+//!   tree ([`Trace::render_tree`]) and a flame-style aggregation
+//!   ([`Trace::render_flame`]) over the per-name self-time fold
+//!   ([`span_times`]).
 //!
 //! Timestamps come from the `pod-sim` virtual [`Clock`], so under a fixed
 //! seed two runs produce byte-identical traces. The JSON-lines run journal
@@ -42,7 +42,7 @@
 //!
 //! let clock = Clock::new();
 //! let obs = Obs::new(clock.clone());
-//! obs.tracer().begin_trace("run-7");
+//! obs.begin_run("run-7");
 //!
 //! let calls = obs.counter("cloud.api.calls");
 //! {
@@ -54,13 +54,12 @@
 //!
 //! let snap = obs.snapshot();
 //! assert_eq!(snap.counter("cloud.api.calls"), 1);
-//! assert!(obs.tracer().render_tree().contains("cloud.api.call"));
+//! assert!(obs.trace().render_tree().contains("cloud.api.call"));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod event;
 mod export;
 mod flight;
 mod hist;
@@ -68,18 +67,19 @@ mod metrics;
 mod obs;
 mod render;
 mod sampler;
-mod span;
 mod timeline;
+mod trace;
 
-pub use event::{CauseScope, Emitted, EventId, EventLog, EventRecord, Parent};
 pub use export::{chrome_trace, otlp_json};
 pub use flight::{
     render_dashboard, FlightConfig, FlightDump, FlightFrame, FlightRecorder, IncidentMark,
 };
 pub use hist::{Exemplar, Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge, Registry, Snapshot};
-pub use obs::{Obs, TelemetryMode};
+pub use obs::{Dropped, Obs, TelemetryMode};
 pub use render::render_summary;
 pub use sampler::{RunSignals, SampleVerdict, SamplerConfig, TailSampler};
-pub use span::{SpanGuard, SpanRecord, Tracer};
 pub use timeline::{incident_count, incidents, render_timeline, render_timelines, IncidentChain};
+pub use trace::{
+    span_times, CauseScope, Emitted, EventId, Parent, SpanGuard, SpanTime, Trace, TraceRecord,
+};

@@ -1,22 +1,23 @@
-//! The [`Obs`] handle bundling clock, metrics registry, tracer and the
-//! causal event log, gated by a [`TelemetryMode`].
+//! The [`Obs`] handle bundling clock, metrics registry and the trace,
+//! gated by a [`TelemetryMode`].
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use pod_sim::Clock;
+use pod_sim::{Clock, SimTime};
 
-use crate::event::{CauseScope, Emitted, EventId, EventLog, Parent};
 use crate::hist::Histogram;
 use crate::metrics::{Counter, Gauge, Registry, Snapshot};
-use crate::span::{SpanGuard, Tracer};
+use crate::trace::{CauseScope, Emitted, EventId, Parent, SpanGuard, Trace};
 
 /// How much telemetry an [`Obs`] context records.
 ///
-/// Metrics (counters, gauges, histograms) are always on — they are cheap,
-/// lock-free and required for correctness accounting. The mode gates the
-/// *trace* side (spans and causal events), which allocates strings per
-/// record and is what tail-based sampling decides to keep or discard:
+/// Metrics (counters, gauges, histograms) are always on — they are cheap
+/// (atomic updates; only a histogram's tail-exemplar capture takes a
+/// lock) and required for correctness accounting. The mode gates the
+/// *trace* (spans and causal events), which allocates strings per record
+/// and is what tail-based sampling decides to keep or discard:
 ///
 /// - `Off` — spans and events become no-ops; the baseline for overhead
 ///   measurement.
@@ -71,17 +72,16 @@ impl std::fmt::Display for TelemetryMode {
     }
 }
 
-/// One observability context: a metrics [`Registry`], a [`Tracer`] and a
-/// causal [`EventLog`], all timestamped from the same virtual [`Clock`].
-/// Cloning is cheap and shares all state (including the telemetry mode),
-/// so a single `Obs` created next to the `Cloud` can be handed to every
-/// layer of the pipeline.
+/// One observability context: a metrics [`Registry`] and a [`Trace`],
+/// both timestamped from the same virtual [`Clock`]. Cloning is cheap and
+/// shares all state (including the telemetry mode), so a single `Obs`
+/// created next to the `Cloud` can be handed to every layer of the
+/// pipeline.
 #[derive(Debug, Clone)]
 pub struct Obs {
     clock: Clock,
     registry: Registry,
-    tracer: Tracer,
-    events: EventLog,
+    trace: Trace,
     mode: Arc<AtomicU8>,
 }
 
@@ -90,8 +90,7 @@ impl Obs {
     /// [`TelemetryMode::Full`]).
     pub fn new(clock: Clock) -> Obs {
         Obs {
-            tracer: Tracer::new(clock.clone()),
-            events: EventLog::new(clock.clone()),
+            trace: Trace::new(clock.clone()),
             registry: Registry::new(),
             clock,
             mode: Arc::new(AtomicU8::new(TelemetryMode::Full.as_u8())),
@@ -115,14 +114,19 @@ impl Obs {
         &self.registry
     }
 
-    /// The span tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    /// The trace: spans and causal events of the current run.
+    pub fn trace(&self) -> &Trace {
+        &self.trace
     }
 
-    /// The causal event log.
-    pub fn events(&self) -> &EventLog {
-        &self.events
+    /// The span side of the trace: its eviction count.
+    pub fn tracer(&self) -> Dropped {
+        Dropped(self.trace.spans_dropped())
+    }
+
+    /// The causal-event side of the trace: its eviction count.
+    pub fn events(&self) -> Dropped {
+        Dropped(self.trace.events_dropped())
     }
 
     /// The current telemetry mode.
@@ -135,30 +139,24 @@ impl Obs {
         self.mode.store(mode.as_u8(), Ordering::Relaxed);
     }
 
-    /// Emits a causal event parented to the innermost ambient cause and
-    /// correlated with the innermost open span. A no-op (inert handle)
-    /// when the mode is [`TelemetryMode::Off`].
+    /// Emits a causal event caused by the innermost ambient cause, under
+    /// the innermost open span. A no-op (inert handle) when the mode is
+    /// [`TelemetryMode::Off`].
     pub fn event(&self, kind: &'static str, name: &str) -> Emitted {
         if !self.mode().records_traces() {
             return Emitted::disabled();
         }
-        self.events
-            .emit(kind, name, Parent::Ambient, self.tracer.current_span_id())
+        self.trace.emit(kind, name, Parent::Ambient)
     }
 
-    /// Emits a causal event with an explicit parent (still correlated with
-    /// the innermost open span). A no-op when the mode is
+    /// Emits a causal event with an explicit cause (still under the
+    /// innermost open span). A no-op when the mode is
     /// [`TelemetryMode::Off`].
     pub fn event_under(&self, parent: EventId, kind: &'static str, name: &str) -> Emitted {
         if !self.mode().records_traces() {
             return Emitted::disabled();
         }
-        self.events.emit(
-            kind,
-            name,
-            Parent::Of(parent),
-            self.tracer.current_span_id(),
-        )
+        self.trace.emit(kind, name, Parent::Of(parent))
     }
 
     /// Hot-path event emission: name and attribute values are moved in and
@@ -169,22 +167,16 @@ impl Obs {
     pub fn event_with(
         &self,
         kind: &'static str,
-        name: impl Into<std::borrow::Cow<'static, str>>,
+        name: impl Into<Cow<'static, str>>,
         attrs: Vec<(&'static str, String)>,
     ) -> Option<EventId> {
         if !self.mode().records_traces() {
             return None;
         }
-        Some(self.events.emit_with(
-            kind,
-            name,
-            Parent::Ambient,
-            self.tracer.current_span_id(),
-            attrs,
-        ))
+        Some(self.trace.emit_with(kind, name, Parent::Ambient, attrs))
     }
 
-    /// Opens a *pending* cause scope (see [`EventLog::scope_pending`]): the
+    /// Opens a *pending* cause scope (see [`Trace::scope_pending`]): the
     /// event's ingredients are captured now, but it is only recorded if a
     /// descendant actually emits under the scope. The lazy counterpart of
     /// scoping an [`Obs::event_with`] id — healthy lines leave no trace.
@@ -192,21 +184,19 @@ impl Obs {
     pub fn scope_cause(
         &self,
         kind: &'static str,
-        name: impl Into<std::borrow::Cow<'static, str>>,
+        name: impl Into<Cow<'static, str>>,
         attrs: Vec<(&'static str, String)>,
     ) -> CauseScope {
         if !self.mode().records_traces() {
-            return self.events.scope(None);
+            return self.trace.scope(None);
         }
-        self.events
-            .scope_pending(kind, name, attrs, self.tracer.current_span_id())
+        self.trace.scope_pending(kind, name, attrs)
     }
 
-    /// Starts a fresh run: resets both the tracer and the event log to a
-    /// new trace identified by `trace_id`.
+    /// Starts a fresh run: resets the trace to a new one identified by
+    /// `trace_id`.
     pub fn begin_run(&self, trace_id: &str) {
-        self.tracer.begin_trace(trace_id);
-        self.events.begin_trace(trace_id);
+        self.trace.begin_trace(trace_id);
     }
 
     /// Counter accessor (see [`Registry::counter`]).
@@ -225,29 +215,29 @@ impl Obs {
     }
 
     /// Retroactively records a completed span (see
-    /// [`Tracer::record_span`]): the outcome-conditional pattern where a
+    /// [`Trace::record_span`]): the outcome-conditional pattern where a
     /// hot path notes its start time, and only materialises the span when
     /// the outcome is anomalous. Returns `None` (recording nothing) when
     /// the mode is [`TelemetryMode::Off`].
     pub fn record_span(
         &self,
         name: &'static str,
-        started_at: pod_sim::SimTime,
+        started_at: SimTime,
         attrs: Vec<(&'static str, String)>,
     ) -> Option<u64> {
         if !self.mode().records_traces() {
             return None;
         }
-        Some(self.tracer.record_span(name, started_at, attrs))
+        Some(self.trace.record_span(name, started_at, attrs))
     }
 
-    /// Opens a span (see [`Tracer::span`]). Returns an inert guard when
+    /// Opens a span (see [`Trace::span`]). Returns an inert guard when
     /// the mode is [`TelemetryMode::Off`].
     pub fn span(&self, name: &'static str) -> SpanGuard {
         if !self.mode().records_traces() {
             return SpanGuard::disabled();
         }
-        self.tracer.span(name)
+        self.trace.span(name)
     }
 
     /// Snapshots every metric.
@@ -262,20 +252,37 @@ impl Default for Obs {
     }
 }
 
+/// The eviction count of one record kind of the [`Trace`]: spans
+/// ([`Obs::tracer`]) or causal events ([`Obs::events`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Dropped(u64);
+
+impl Dropped {
+    /// Records of this kind evicted from the ring.
+    pub fn dropped(self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pod_sim::SimDuration;
 
+    fn span_count(obs: &Obs) -> usize {
+        obs.trace()
+            .with_records(|r| r.iter().filter(|r| r.is_span()).count())
+    }
+
     #[test]
-    fn clones_share_registry_and_tracer() {
+    fn clones_share_registry_and_trace() {
         let obs = Obs::detached();
         let copy = obs.clone();
         copy.counter("x").incr();
-        obs.tracer().begin_trace("t");
+        obs.begin_run("t");
         drop(copy.span("s"));
         assert_eq!(obs.snapshot().counter("x"), 1);
-        assert_eq!(obs.tracer().finished().len(), 1);
+        assert_eq!(span_count(&obs), 1);
     }
 
     #[test]
@@ -284,24 +291,36 @@ mod tests {
         obs.begin_run("t");
         let guard = obs.span("conformance.replay");
         let ev = obs.event("conformance.verdict", "conformance:fit");
-        let records = obs.events().records();
+        let records = obs.trace().records();
         assert_eq!(records[0].span, Some(guard.id()));
-        assert_eq!(records[0].parent, None);
+        assert_eq!(records[0].cause, None);
         let child = obs.event_under(ev.id(), "detection", "conformance-unfit");
         assert_eq!(child.id().get(), 1);
-        assert_eq!(obs.events().records()[1].parent, Some(ev.id().get()));
+        assert_eq!(obs.trace().records()[1].cause, Some(ev.id().get()));
     }
 
     #[test]
-    fn begin_run_resets_tracer_and_events_together() {
+    fn begin_run_resets_spans_and_events_together() {
         let obs = Obs::detached();
         obs.begin_run("a");
         drop(obs.span("s"));
         obs.event("e", "e");
         obs.begin_run("b");
-        assert_eq!(obs.tracer().finished().len(), 0);
-        assert!(obs.events().is_empty());
-        assert_eq!(obs.events().trace_id(), "b");
+        assert!(obs.trace().records().is_empty());
+        assert_eq!(obs.trace().trace_id(), "b");
+    }
+
+    #[test]
+    fn sides_report_evictions_per_kind() {
+        let obs = Obs::detached();
+        obs.begin_run("t");
+        for _ in 0..crate::trace::TRACE_CAP {
+            drop(obs.span("s"));
+        }
+        for _ in 0..3 {
+            obs.event("e", "e");
+        }
+        assert_eq!((obs.tracer().dropped(), obs.events().dropped()), (3, 0));
     }
 
     #[test]
@@ -318,26 +337,25 @@ mod tests {
             ev.attr("k", "v");
             obs.event_under(ev.id(), "diagnosis.cause", "y");
         }
-        assert_eq!(obs.tracer().finished().len(), 0);
-        assert!(obs.events().is_empty());
+        assert!(obs.trace().records().is_empty());
         obs.counter("c").incr();
         assert_eq!(obs.snapshot().counter("c"), 1, "metrics stay on");
         obs.set_mode(TelemetryMode::Full);
         drop(obs.span("s2"));
-        assert_eq!(obs.tracer().finished().len(), 1);
+        assert_eq!(span_count(&obs), 1);
     }
 
     #[test]
     fn spans_use_the_shared_clock() {
         let clock = Clock::new();
         let obs = Obs::new(clock.clone());
-        obs.tracer().begin_trace("t");
+        obs.begin_run("t");
         {
             let _s = obs.span("s");
             clock.advance(SimDuration::from_millis(7));
         }
         assert_eq!(
-            obs.tracer().finished()[0].duration(),
+            obs.trace().records()[0].duration(),
             SimDuration::from_millis(7)
         );
     }

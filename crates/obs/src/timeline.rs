@@ -2,9 +2,10 @@
 //! ordered causal chain from the triggering log line to the reported root
 //! cause, with per-hop latency, and renders it as an ASCII timeline.
 //!
-//! The input is the flat [`EventRecord`] list of one trace. Every event of
-//! kind `detection` seeds one [`IncidentChain`]: its ancestor chain (parent
-//! links walked to the root — the evidence *leading to* the detection) plus
+//! The input is the flat [`TraceRecord`] list of one trace (spans are
+//! skipped). Every event of kind `detection` seeds one [`IncidentChain`]:
+//! its ancestor chain (cause links walked to the root — the evidence
+//! *leading to* the detection) plus
 //! every descendant (the dispatched diagnosis, fault-tree tests, verdict and
 //! root causes *explaining* it).
 
@@ -13,18 +14,18 @@ use std::fmt::Write as _;
 
 use pod_sim::SimDuration;
 
-use crate::event::EventRecord;
+use crate::trace::TraceRecord;
 
 /// The reconstructed causal chain around one `detection` event.
 #[derive(Debug, Clone)]
 pub struct IncidentChain {
     /// The detection event itself.
-    pub detection: EventRecord,
+    pub detection: TraceRecord,
     /// The full chain in emission order: ancestors (root first), the
     /// detection, then every descendant.
-    pub hops: Vec<EventRecord>,
+    pub hops: Vec<TraceRecord>,
     /// The `diagnosis.cause` descendants (reported root causes).
-    pub root_causes: Vec<EventRecord>,
+    pub root_causes: Vec<TraceRecord>,
     /// Whether the chain's first hop is a `log.line` — i.e. the incident is
     /// traceable back to a concrete line of the operation's log.
     pub anchored: bool,
@@ -44,7 +45,7 @@ impl IncidentChain {
     /// last hop when no verdict exists).
     pub fn elapsed(&self) -> SimDuration {
         let first = match self.hops.first() {
-            Some(h) => h.at,
+            Some(h) => h.start,
             None => return SimDuration::from_micros(0),
         };
         let last = self
@@ -53,7 +54,7 @@ impl IncidentChain {
             .rev()
             .find(|h| h.kind == "diagnosis.verdict")
             .or(self.hops.last())
-            .map(|h| h.at)
+            .map(|h| h.start)
             .unwrap_or(first);
         last.duration_since(first)
     }
@@ -63,30 +64,31 @@ impl IncidentChain {
 /// per `detection` event — without building them. The per-run accounting
 /// in a soak only needs the count, and full reconstruction clones every
 /// hop's strings.
-pub fn incident_count(records: &[EventRecord]) -> usize {
+pub fn incident_count(records: &[TraceRecord]) -> usize {
     records.iter().filter(|e| e.kind == "detection").count()
 }
 
 /// Reconstructs one [`IncidentChain`] per `detection` event in `records`.
-pub fn incidents(records: &[EventRecord]) -> Vec<IncidentChain> {
-    let by_id: BTreeMap<u64, &EventRecord> = records.iter().map(|e| (e.id, e)).collect();
+pub fn incidents(records: &[TraceRecord]) -> Vec<IncidentChain> {
+    let events = || records.iter().filter(|r| !r.is_span());
+    let by_id: BTreeMap<u64, &TraceRecord> = events().map(|e| (e.id, e)).collect();
     let mut children: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for event in records {
-        if let Some(parent) = event.parent {
-            children.entry(parent).or_default().push(event.id);
+    for event in events() {
+        if let Some(cause) = event.cause {
+            children.entry(cause).or_default().push(event.id);
         }
     }
     let mut chains = Vec::new();
-    for event in records.iter().filter(|e| e.kind == "detection") {
-        // Ancestors: walk parent links to the root (or to an evicted id).
-        let mut ancestors: Vec<&EventRecord> = Vec::new();
-        let mut cursor = event.parent;
+    for event in events().filter(|e| e.kind == "detection") {
+        // Ancestors: walk cause links to the root (or to an evicted id).
+        let mut ancestors: Vec<&TraceRecord> = Vec::new();
+        let mut cursor = event.cause;
         while let Some(id) = cursor {
-            let Some(parent) = by_id.get(&id) else {
+            let Some(cause) = by_id.get(&id) else {
                 break; // evicted from the ring: chain is cut here
             };
-            ancestors.push(parent);
-            cursor = parent.parent;
+            ancestors.push(cause);
+            cursor = cause.cause;
         }
         ancestors.reverse();
         // Descendants: everything reachable through child links.
@@ -101,13 +103,13 @@ pub fn incidents(records: &[EventRecord]) -> Vec<IncidentChain> {
                 }
             }
         }
-        let mut hops: Vec<EventRecord> = ancestors.into_iter().cloned().collect();
+        let mut hops: Vec<TraceRecord> = ancestors.into_iter().cloned().collect();
         hops.push(event.clone());
-        let mut descendants: Vec<EventRecord> = reached
+        let mut descendants: Vec<TraceRecord> = reached
             .iter()
             .filter_map(|id| by_id.get(id).map(|e| (*e).clone()))
             .collect();
-        descendants.sort_by_key(|e| (e.at, e.id));
+        descendants.sort_by_key(|e| (e.start, e.id));
         hops.extend(descendants);
         let anchored = hops.first().map(|h| h.kind == "log.line").unwrap_or(false);
         let diagnosed = hops.iter().any(|h| h.kind == "diagnosis.verdict");
@@ -127,7 +129,7 @@ pub fn incidents(records: &[EventRecord]) -> Vec<IncidentChain> {
     chains
 }
 
-fn attr_summary(event: &EventRecord, width: usize) -> String {
+fn attr_summary(event: &TraceRecord, width: usize) -> String {
     let mut parts = Vec::new();
     for (k, v) in &event.attrs {
         let v: String = if v.chars().count() > width {
@@ -160,17 +162,17 @@ pub fn render_timeline(chain: &IncidentChain) -> String {
             "BROKEN (no log-line anchor)"
         },
     );
-    let mut previous = chain.hops.first().map(|h| h.at);
+    let mut previous = chain.hops.first().map(|h| h.start);
     for (i, hop) in chain.hops.iter().enumerate() {
         let delta = previous
-            .map(|p| hop.at.duration_since(p))
+            .map(|p| hop.start.duration_since(p))
             .unwrap_or_else(|| SimDuration::from_micros(0));
-        previous = Some(hop.at);
+        previous = Some(hop.start);
         let marker = if i == 0 { "   " } else { "-> " };
         let _ = writeln!(
             out,
             "  {:>12}  {:>10}  {}{:<20} {:<28} {}",
-            hop.at.to_string(),
+            hop.start.to_string(),
             if i == 0 {
                 String::new()
             } else {
@@ -195,7 +197,7 @@ pub fn render_timeline(chain: &IncidentChain) -> String {
 
 /// Renders every incident in `records` (see [`incidents`]), separated by
 /// blank lines; a fixed message when no detection occurred.
-pub fn render_timelines(records: &[EventRecord]) -> String {
+pub fn render_timelines(records: &[TraceRecord]) -> String {
     let chains = incidents(records);
     if chains.is_empty() {
         return "no incidents: no detection events in this trace\n".to_string();
@@ -236,7 +238,7 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("t");
         canonical_chain(&obs);
-        let chains = incidents(&obs.events().records());
+        let chains = incidents(&obs.trace().records());
         assert_eq!(chains.len(), 1);
         let chain = &chains[0];
         assert!(chain.anchored);
@@ -254,7 +256,7 @@ mod tests {
         obs.begin_run("t");
         let det = obs.event("detection", "one-off-timer");
         obs.event_under(det.id(), "diagnosis.dispatch", "asg-tree");
-        let chains = incidents(&obs.events().records());
+        let chains = incidents(&obs.trace().records());
         assert!(!chains[0].anchored);
         assert!(!chains[0].complete());
         assert!(render_timeline(&chains[0]).contains("BROKEN"));
@@ -265,7 +267,7 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("t");
         canonical_chain(&obs);
-        let out = render_timelines(&obs.events().records());
+        let out = render_timelines(&obs.trace().records());
         assert!(
             out.contains("incident #2: conformance-unfit"),
             "got:\n{out}"
@@ -288,7 +290,7 @@ mod tests {
         obs.begin_run("t");
         canonical_chain(&obs);
         obs.event("log.line", "unrelated.log");
-        let chains = incidents(&obs.events().records());
+        let chains = incidents(&obs.trace().records());
         assert_eq!(chains[0].hops.len(), 7);
     }
 
@@ -297,6 +299,6 @@ mod tests {
         let obs = Obs::detached();
         obs.begin_run("t");
         obs.event("log.line", "asgard.log");
-        assert!(render_timelines(&obs.events().records()).contains("no incidents"));
+        assert!(render_timelines(&obs.trace().records()).contains("no incidents"));
     }
 }

@@ -1,6 +1,12 @@
-//! Property-based tests for the pod-obs metrics layer.
+//! Property-based tests for the pod-obs metrics layer and the trace store.
 
-use pod_obs::{Registry, RunSignals, SampleVerdict, SamplerConfig, TailSampler};
+use std::collections::{BTreeMap, BTreeSet};
+
+use pod_obs::{
+    CauseScope, Emitted, Parent, Registry, RunSignals, SampleVerdict, SamplerConfig, SpanGuard,
+    TailSampler, Trace,
+};
+use pod_sim::{Clock, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// An arbitrary completed-run signal set for the tail sampler.
@@ -183,5 +189,116 @@ proptest! {
                 prop_assert_eq!(verdict, SampleVerdict::KeptWarning);
             }
         }
+    }
+
+    /// Whatever interleaving of span open/close, retroactive spans, events
+    /// under every `Parent` mode and nested resolved/pending cause scopes
+    /// a caller produces, the one ring stays consistent: every link names
+    /// a record of the right kind, ids are dense and ascending per kind,
+    /// an unused pending scope leaves no record and consumes no id, and
+    /// attributes land on the event they were attached to even when a
+    /// span with the same numeric id sits in the ring.
+    #[test]
+    fn trace_links_and_ids_stay_consistent(
+        ops in prop::collection::vec((0u8..12, 0u64..1_000), 1..160),
+    ) {
+        let clock = Clock::new();
+        let trace = Trace::new(clock.clone());
+        trace.begin_trace("prop");
+        let mut open: Vec<SpanGuard> = Vec::new();
+        // Each live scope guard with its model frame: `None` for a no-op
+        // scope, `Some(materialised)` for a pending one, `Some(true)` for
+        // a resolved one.
+        let mut scopes: Vec<(CauseScope, Option<bool>)> = Vec::new();
+        let mut emitted: Vec<Emitted> = Vec::new();
+        let mut expected_attrs: BTreeMap<u64, usize> = BTreeMap::new();
+        let mut expected_span: BTreeMap<u64, Option<u64>> = BTreeMap::new();
+        let (mut spans_made, mut explicit_events, mut materialised) = (0u64, 0u64, 0u64);
+        fn materialise(scopes: &mut [(CauseScope, Option<bool>)], count: &mut u64) {
+            for (_, frame) in scopes.iter_mut() {
+                if *frame == Some(false) {
+                    *frame = Some(true);
+                    *count += 1;
+                }
+            }
+        }
+        for (op, k) in ops {
+            match op {
+                0 => {
+                    open.push(trace.span("s"));
+                    spans_made += 1;
+                }
+                1 if !open.is_empty() => drop(open.remove(k as usize % open.len())),
+                2 => {
+                    trace.record_span("r", SimTime::ZERO, Vec::new());
+                    spans_made += 1;
+                }
+                3..=5 => {
+                    let parent = match op {
+                        3 => Parent::Ambient,
+                        4 => Parent::None,
+                        _ if emitted.is_empty() => Parent::None,
+                        _ => Parent::Of(emitted[k as usize % emitted.len()].id()),
+                    };
+                    if parent == Parent::Ambient {
+                        materialise(&mut scopes, &mut materialised);
+                    }
+                    let ev = trace.emit("e", "e", parent);
+                    expected_attrs.insert(ev.id().get(), 0);
+                    expected_span.insert(ev.id().get(), open.last().map(SpanGuard::id));
+                    emitted.push(ev);
+                    explicit_events += 1;
+                }
+                6 => {
+                    let cause = (k % 2 == 0 && !emitted.is_empty())
+                        .then(|| emitted[k as usize % emitted.len()].id());
+                    scopes.push((trace.scope(cause), cause.map(|_| true)));
+                }
+                7 => scopes.push((trace.scope_pending("pending", "p", Vec::new()), Some(false))),
+                8 => drop(scopes.pop()),
+                9 => {
+                    clock.advance(SimDuration::from_millis(k));
+                }
+                10 if !emitted.is_empty() => {
+                    let ev = &emitted[k as usize % emitted.len()];
+                    ev.attr("k", k);
+                    *expected_attrs.get_mut(&ev.id().get()).unwrap() += 1;
+                }
+                11 => {
+                    materialise(&mut scopes, &mut materialised);
+                    trace.current_cause();
+                }
+                _ => {}
+            }
+        }
+        drop(scopes);
+        drop(open); // every span lands in the ring on close
+
+        let records = trace.records();
+        let (spans, events): (Vec<_>, Vec<_>) = records.iter().partition(|r| r.is_span());
+        let span_ids: BTreeSet<u64> = spans.iter().map(|r| r.id).collect();
+        let event_ids: Vec<u64> = events.iter().map(|r| r.id).collect();
+        prop_assert_eq!((trace.spans_dropped(), trace.events_dropped()), (0, 0));
+        for r in &records {
+            if let Some(cause) = r.cause {
+                prop_assert!(event_ids.contains(&cause), "cause {} names no event", cause);
+            }
+            if let Some(span) = r.span {
+                prop_assert!(span_ids.contains(&span), "span {} names no span", span);
+            }
+        }
+        // Per-kind sequences: dense from 0, events ascending in the ring.
+        prop_assert_eq!(span_ids, (0..spans_made).collect::<BTreeSet<u64>>());
+        prop_assert_eq!(spans.len() as u64, spans_made);
+        prop_assert!(event_ids.windows(2).all(|w| w[0] < w[1]), "{:?}", event_ids);
+        prop_assert_eq!(event_ids, (0..explicit_events + materialised).collect::<Vec<u64>>());
+        // Only used pending scopes left a record.
+        let pending = events.iter().filter(|r| r.kind == "pending").count() as u64;
+        prop_assert_eq!(pending, materialised);
+        for event in events.iter().filter(|r| r.kind == "e") {
+            prop_assert_eq!(event.attrs.len(), expected_attrs[&event.id], "event {}", event.id);
+            prop_assert_eq!(event.span, expected_span[&event.id], "event {}", event.id);
+        }
+        prop_assert!(spans.iter().all(|s| s.attrs.is_empty()), "attr landed on a span");
     }
 }

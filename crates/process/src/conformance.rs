@@ -163,7 +163,7 @@ impl ConformanceChecker {
         // Per-line hot path: check the mode before building any strings,
         // and land the event in a single lock via the batched emitter. No
         // `trace` attribute: the event ring is per-trace already (see
-        // `EventLog::begin_trace`), so repeating the id per verdict only
+        // `Trace::begin_trace`), so repeating the id per verdict only
         // burned an allocation per line.
         if !self.obs.mode().records_traces() {
             self.last_event = None;
@@ -446,7 +446,7 @@ mod tests {
         obs.begin_run("t");
         let mut ch = checker().with_obs(&obs);
         let line = obs.event("log.line", "asgard.log");
-        let _scope = obs.events().scope(Some(line.id()));
+        let _scope = obs.trace().scope(Some(line.id()));
         // Outcome-conditional tracing: a fit replay is counted, not traced.
         ch.replay("t", "a");
         assert_eq!(ch.last_verdict_event(), None);
@@ -458,12 +458,12 @@ mod tests {
         let verdict_event = ch
             .last_verdict_event()
             .expect("unfit replay emits an event");
-        let records = obs.events().records();
+        let records = obs.trace().records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].id, verdict_event.get());
         assert_eq!(records[1].kind, "conformance.verdict");
         assert_eq!(records[1].name, "conformance:unfit");
-        assert_eq!(records[1].parent, Some(line.id().get()));
+        assert_eq!(records[1].cause, Some(line.id().get()));
         assert!(records[1].attrs.contains(&("expected", "b".to_string())));
     }
 

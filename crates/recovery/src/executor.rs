@@ -352,7 +352,7 @@ impl RecoveryExecutor {
         start_event.attr("task", &req.task_id);
         // Everything the run does — repair calls, consistent-layer
         // retries, verification — chains under the start event.
-        let _scope = obs.events().scope(Some(start_event.id()));
+        let _scope = obs.trace().scope(Some(start_event.id()));
 
         let mut run = RecoveryRun {
             task_id: req.task_id.clone(),

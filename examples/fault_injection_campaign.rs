@@ -56,7 +56,7 @@ fn main() {
         }
         lines.extend(snapshot_lines("campaign", &report.obs_totals));
         if let Some(dump) = &report.last_trace {
-            lines.extend(incident_lines(&dump.trace_id, &incidents(&dump.events)));
+            lines.extend(incident_lines(&dump.trace_id, &incidents(&dump.records)));
         }
         let path = format!("BENCH_campaign_{}x8.json", runs_per_fault);
         std::fs::write(&path, render_journal(&lines)).expect("write journal");
@@ -71,15 +71,16 @@ fn main() {
         );
 
         if let Some(dump) = &report.last_trace {
-            let chrome = chrome_trace(&dump.trace_id, &dump.spans, &dump.events);
+            let chrome = chrome_trace(&dump.trace_id, &dump.records);
             std::fs::write("TRACE_campaign.json", chrome).expect("write chrome trace");
-            let otlp = otlp_json(&dump.trace_id, &dump.spans, &dump.events);
+            let otlp = otlp_json(&dump.trace_id, &dump.records);
             std::fs::write("TRACE_campaign_otlp.json", otlp).expect("write otlp trace");
+            let spans = dump.records.iter().filter(|r| r.is_span()).count();
             eprintln!(
                 "wrote last run's trace ({} spans, {} events) to TRACE_campaign.json / \
                  TRACE_campaign_otlp.json",
-                dump.spans.len(),
-                dump.events.len()
+                spans,
+                dump.records.len() - spans
             );
         }
     }

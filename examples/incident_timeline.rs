@@ -34,9 +34,9 @@ fn main() {
     for plan in campaign.plans() {
         let (record, dump) = execute_run_traced(&plan);
         println!("== fault: {} (trace {}) ==", plan.fault, dump.trace_id);
-        print!("{}", render_timelines(&dump.events));
+        print!("{}", render_timelines(&dump.records));
         println!();
-        let chains = incidents(&dump.events);
+        let chains = incidents(&dump.records);
         total += chains.len();
         anchored += chains.iter().filter(|c| c.anchored).count();
         complete += chains.iter().filter(|c| c.complete()).count();

@@ -117,21 +117,19 @@ fn main() {
     let obs = scenario.cloud.obs();
     println!();
     println!("== incident timelines (causal chains, virtual time) ==");
-    print!(
-        "{}",
-        pod_diagnosis::obs::render_timelines(&obs.events().records())
-    );
+    let records = obs.trace().records();
+    print!("{}", pod_diagnosis::obs::render_timelines(&records));
     println!();
     println!("== span tree (virtual time) ==");
-    print!("{}", obs.tracer().render_tree());
+    print!("{}", obs.trace().render_tree());
     println!();
     println!("== span flame summary ==");
-    print!("{}", obs.tracer().render_flame());
+    print!("{}", obs.trace().render_flame());
     println!();
     println!("== metrics summary ==");
     print!("{}", pod_diagnosis::obs::render_summary(&obs.snapshot()));
-    let spans_dropped = obs.tracer().dropped();
-    let events_dropped = obs.events().dropped();
+    let spans_dropped = obs.trace().spans_dropped();
+    let events_dropped = obs.trace().events_dropped();
     if spans_dropped > 0 || events_dropped > 0 {
         println!(
             "WARNING: retention caps hit — {spans_dropped} span(s) and {events_dropped} causal \
@@ -141,16 +139,15 @@ fn main() {
         println!("spans dropped: 0, causal events dropped: 0");
     }
 
-    let spans = obs.tracer().finished();
-    let events = obs.events().records();
-    let chrome = pod_diagnosis::obs::chrome_trace(&scenario.trace_id, &spans, &events);
+    let chrome = pod_diagnosis::obs::chrome_trace(&scenario.trace_id, &records);
     std::fs::write("TRACE_e6.json", chrome).expect("write chrome trace");
-    let otlp = pod_diagnosis::obs::otlp_json(&scenario.trace_id, &spans, &events);
+    let otlp = pod_diagnosis::obs::otlp_json(&scenario.trace_id, &records);
     std::fs::write("TRACE_e6_otlp.json", otlp).expect("write otlp trace");
+    let spans = records.iter().filter(|r| r.is_span()).count();
     println!(
         "exported {} spans and {} causal events to TRACE_e6.json (Chrome trace-event) and \
          TRACE_e6_otlp.json (OTLP-style JSON)",
-        spans.len(),
-        events.len()
+        spans,
+        records.len() - spans
     );
 }

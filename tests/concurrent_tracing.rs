@@ -1,5 +1,5 @@
 //! Concurrency tests for the observability layer: two interleaved
-//! operations, each on its own cloud and tracer, must keep their spans and
+//! operations, each on its own cloud and trace, must keep their spans and
 //! causal events fully separated — no cross-linked parents, no leaked
 //! trace ids — even when driven from separate threads.
 
@@ -8,6 +8,7 @@ use std::thread;
 
 use pod_diagnosis::eval::{build_engine, build_scenario, ScenarioConfig};
 use pod_diagnosis::log::LogEvent;
+use pod_diagnosis::obs::TraceRecord;
 use pod_diagnosis::orchestrator::{FaultInjector, FaultType, RollingUpgrade, UpgradeObserver};
 use pod_diagnosis::sim::{SimRng, SimTime};
 
@@ -39,15 +40,9 @@ impl UpgradeObserver for Monitor<'_> {
     }
 }
 
-/// Runs one faulty upgrade end to end and returns its trace.
-fn run_upgrade(
-    seed: u64,
-    fault: FaultType,
-) -> (
-    String,
-    Vec<pod_diagnosis::obs::SpanRecord>,
-    Vec<pod_diagnosis::obs::EventRecord>,
-) {
+/// Runs one faulty upgrade end to end and returns its trace id, spans and
+/// causal events.
+fn run_upgrade(seed: u64, fault: FaultType) -> (String, Vec<TraceRecord>, Vec<TraceRecord>) {
     let config = ScenarioConfig {
         seed,
         ..ScenarioConfig::default()
@@ -69,31 +64,24 @@ fn run_upgrade(
     upgrade.run(&mut monitor);
     monitor.engine.finish();
     let obs = scenario.cloud.obs();
-    assert_eq!(obs.tracer().trace_id(), scenario.trace_id);
-    assert_eq!(obs.events().trace_id(), scenario.trace_id);
-    (
-        scenario.trace_id.clone(),
-        obs.tracer().finished(),
-        obs.events().records(),
-    )
+    assert_eq!(obs.trace().trace_id(), scenario.trace_id);
+    let (spans, events) = obs.trace().records().into_iter().partition(|r| r.is_span());
+    (scenario.trace_id.clone(), spans, events)
 }
 
 /// Every span parent and every event parent/span link must resolve within
 /// the same trace (links only point at ids that exist, or were evicted —
 /// never at another trace's ids, which these small runs never evict).
-fn assert_self_contained(
-    spans: &[pod_diagnosis::obs::SpanRecord],
-    events: &[pod_diagnosis::obs::EventRecord],
-) {
+fn assert_self_contained(spans: &[TraceRecord], events: &[TraceRecord]) {
     let span_ids: BTreeSet<u64> = spans.iter().map(|s| s.id).collect();
     let event_ids: BTreeSet<u64> = events.iter().map(|e| e.id).collect();
     for span in spans {
-        if let Some(parent) = span.parent {
+        if let Some(parent) = span.span {
             assert!(span_ids.contains(&parent), "span {} orphaned", span.id);
         }
     }
     for event in events {
-        if let Some(parent) = event.parent {
+        if let Some(parent) = event.cause {
             assert!(event_ids.contains(&parent), "event {} orphaned", event.id);
         }
         if let Some(span) = event.span {
@@ -168,12 +156,11 @@ fn sequential_runs_on_one_cloud_reset_cleanly() {
         let _span = obs.span("upgrade.step");
         obs.event("log.line", "asgard.log");
     }
-    assert_eq!(obs.tracer().finished().len(), 1);
-    assert_eq!(obs.events().len(), 1);
+    let records = obs.trace().records();
+    assert_eq!(records.iter().filter(|r| r.is_span()).count(), 1);
+    assert_eq!(records.iter().filter(|r| !r.is_span()).count(), 1);
     obs.begin_run("second");
-    assert_eq!(obs.tracer().trace_id(), "second");
-    assert_eq!(obs.events().trace_id(), "second");
-    assert!(obs.tracer().finished().is_empty());
-    assert!(obs.events().is_empty());
-    assert_eq!(obs.events().dropped(), 0);
+    assert_eq!(obs.trace().trace_id(), "second");
+    assert!(obs.trace().records().is_empty());
+    assert_eq!(obs.trace().events_dropped(), 0);
 }

@@ -21,11 +21,11 @@ fn exported_trace() -> (String, String) {
         ..CampaignConfig::default()
     });
     let (_, dump) = execute_run_traced(&campaign.plans()[0]);
-    assert!(!dump.spans.is_empty());
-    assert!(!dump.events.is_empty());
+    assert!(dump.records.iter().any(|r| r.is_span()));
+    assert!(dump.records.iter().any(|r| !r.is_span()));
     (
-        chrome_trace(&dump.trace_id, &dump.spans, &dump.events),
-        otlp_json(&dump.trace_id, &dump.spans, &dump.events),
+        chrome_trace(&dump.trace_id, &dump.records),
+        otlp_json(&dump.trace_id, &dump.records),
     )
 }
 
