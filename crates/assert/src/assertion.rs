@@ -502,8 +502,8 @@ impl BoundAssertion {
                 let id = event?
                     .context
                     .as_ref()
-                    .and_then(|c| c.cloud_instance_id.clone())
-                    .or_else(|| event?.field("instanceid").map(str::to_string))?;
+                    .and_then(|c| c.cloud_instance_id.as_deref())
+                    .or_else(|| event?.field("instanceid"))?;
                 let instance = pod_cloud::InstanceId::new(id);
                 Some(match kind {
                     InstanceAssertionKind::UsesExpectedAmi => {

@@ -1,7 +1,10 @@
 //! The assertion-evaluation service: runs assertions, times them, and logs
 //! their results to central storage in the paper's assertion-log shape.
 
+use std::borrow::Cow;
+
 use pod_log::{LogEvent, LogStorage, ProcessContext, Severity, StepOutcome};
+use pod_obs::Counter;
 use pod_sim::{SimDuration, SimTime};
 
 use crate::assertion::{AssertionOutcome, CloudAssertion};
@@ -50,8 +53,6 @@ pub struct AssertionRecord {
     pub started_at: SimTime,
     /// How long it took (virtual time, dominated by API calls/retries).
     pub duration: SimDuration,
-    /// The process context the evaluation ran under, if any.
-    pub context: Option<ProcessContext>,
     /// The `assertion.result` causal event emitted for this evaluation, so
     /// the engine can parent a detection on it. `Some` only for failures:
     /// passing evaluations are counted (`assertion.passed`), not traced.
@@ -104,12 +105,19 @@ impl AssertionRecord {
 pub struct AssertionEvaluator {
     api: ConsistentApi,
     storage: LogStorage,
+    /// Cached `assertion.passed` handle: passes are the common case.
+    passed: Counter,
 }
 
 impl AssertionEvaluator {
     /// Creates an evaluator writing result lines to `storage`.
     pub fn new(api: ConsistentApi, storage: LogStorage) -> AssertionEvaluator {
-        AssertionEvaluator { api, storage }
+        let passed = api.cloud().obs().counter("assertion.passed");
+        AssertionEvaluator {
+            api,
+            storage,
+            passed,
+        }
     }
 
     /// The consistent API the evaluator uses.
@@ -126,7 +134,7 @@ impl AssertionEvaluator {
         trigger: AssertionTrigger,
         context: Option<&ProcessContext>,
     ) -> AssertionRecord {
-        let obs = self.api.cloud().obs().clone();
+        let obs = self.api.cloud().obs();
         let started_at = self.api.cloud().clock().now();
         let outcome = assertion.evaluate(&self.api, env);
         let finished = self.api.cloud().clock().now();
@@ -156,31 +164,32 @@ impl AssertionEvaluator {
             }
             obs.event_with("assertion.result", assertion.key(), attrs)
         } else {
-            obs.counter("assertion.passed").incr();
+            self.passed.incr();
             None
         };
-        let description = assertion.describe(env);
         let record = AssertionRecord {
             assertion: assertion.clone(),
-            description: description.clone(),
-            outcome: outcome.clone(),
-            trigger: trigger.clone(),
+            description: assertion.describe(env),
+            outcome,
+            trigger,
             started_at,
             duration,
-            context: context.cloned(),
             event,
         };
-        self.storage.append(self.render(&record));
+        self.storage.append(self.render(&record, context));
         record
     }
 
-    /// Renders the paper-style assertion log line.
-    fn render(&self, record: &AssertionRecord) -> LogEvent {
-        let (verdict, severity) = match &record.outcome {
-            AssertionOutcome::Passed => ("holds".to_string(), Severity::Info),
-            AssertionOutcome::Failed { reason } => (format!("FAILED: {reason}"), Severity::Error),
+    /// Renders the paper-style assertion log line; the line carries its
+    /// own copy of `context`, marked with the outcome.
+    fn render(&self, record: &AssertionRecord, context: Option<&ProcessContext>) -> LogEvent {
+        let (verdict, severity): (Cow<str>, _) = match &record.outcome {
+            AssertionOutcome::Passed => ("holds".into(), Severity::Info),
+            AssertionOutcome::Failed { reason } => {
+                (format!("FAILED: {reason}").into(), Severity::Error)
+            }
         };
-        let message = match &record.context {
+        let message = match context {
             Some(ctx) => format!(
                 "[assertion] [Task:{}] [Step:{}] Assertion that {} {verdict}",
                 ctx.process_instance_id,
@@ -201,7 +210,7 @@ impl AssertionEvaluator {
         .with_tag(record.trigger.tag())
         .with_severity(severity)
         .with_field("duration_ms", record.duration.as_millis().to_string());
-        if let Some(ctx) = &record.context {
+        if let Some(ctx) = context {
             let ctx = ctx.clone().with_outcome(if record.is_failure() {
                 StepOutcome::Failure
             } else {

@@ -256,8 +256,8 @@ impl Cloud {
         // retroactively for the anomalous outcomes diagnosis cares about.
         let started_at = self.clock.now();
         let mut inner = self.inner.lock().unwrap();
-        let model = inner.config.api_latency.clone();
-        let latency = model.sample(&mut inner.rng);
+        let Inner { config, rng, .. } = &mut *inner;
+        let latency = config.api_latency.sample(rng);
         let now = self.clock.advance(latency);
         inner.run_until(now);
         self.metrics.calls.incr();
@@ -514,7 +514,7 @@ impl Cloud {
         key_pair: KeyPairName,
         security_group: SecurityGroupId,
     ) -> Result<LaunchConfigName, ApiError> {
-        let name = LaunchConfigName::new(name);
+        let name = LaunchConfigName::new(name.into());
         let instance_type = instance_type.into();
         self.call(move |inner, now| {
             if inner.state.launch_configs.contains_key(&name) {

@@ -5,29 +5,23 @@
 //! AWS-style prefix (`i-`, `ami-`, `sg-`).
 
 use std::fmt;
+use std::sync::Arc;
 
 use pod_sim::SimRng;
 
+/// Defines a cloud id or name newtype over a shared `Arc<str>`, so cloning
+/// one (every describe call clones the ids of what it returns) is a
+/// reference-count bump. With a prefix the type also gets `generate`.
 macro_rules! id_type {
-    ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
+    ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        pub struct $name(String);
+        pub struct $name(Arc<str>);
 
         impl $name {
-            /// Wraps an existing id string.
-            pub fn new(id: impl Into<String>) -> Self {
-                $name(id.into())
-            }
-
-            /// Generates a fresh random id with the family prefix.
-            pub fn generate(rng: &mut SimRng) -> Self {
-                let mut s = String::from($prefix);
-                for _ in 0..8 {
-                    let d = rng.uniform_u64(0, 16);
-                    s.push(char::from_digit(d as u32, 16).expect("hex digit"));
-                }
-                $name(s)
+            /// Wraps an existing id or name.
+            pub fn new(id: impl AsRef<str>) -> Self {
+                $name(Arc::from(id.as_ref()))
             }
 
             /// The id as a string slice.
@@ -44,7 +38,22 @@ macro_rules! id_type {
 
         impl From<&str> for $name {
             fn from(s: &str) -> Self {
-                $name(s.to_string())
+                $name(Arc::from(s))
+            }
+        }
+    };
+    ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
+        id_type!($(#[$doc])* $name);
+
+        impl $name {
+            /// Generates a fresh random id with the family prefix.
+            pub fn generate(rng: &mut SimRng) -> Self {
+                let mut s = String::from($prefix);
+                for _ in 0..8 {
+                    let d = rng.uniform_u64(0, 16);
+                    s.push(char::from_digit(d as u32, 16).expect("hex digit"));
+                }
+                $name::new(s)
             }
         }
     };
@@ -65,94 +74,22 @@ id_type!(
     SecurityGroupId,
     "sg-"
 );
-
-/// A key-pair name (key pairs are addressed by name in AWS).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct KeyPairName(String);
-
-impl KeyPairName {
-    /// Wraps a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        KeyPairName(name.into())
-    }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for KeyPairName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-/// A launch-configuration name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LaunchConfigName(String);
-
-impl LaunchConfigName {
-    /// Wraps a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        LaunchConfigName(name.into())
-    }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for LaunchConfigName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-/// An auto-scaling-group name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AsgName(String);
-
-impl AsgName {
-    /// Wraps a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        AsgName(name.into())
-    }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for AsgName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-/// An elastic-load-balancer name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ElbName(String);
-
-impl ElbName {
-    /// Wraps a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        ElbName(name.into())
-    }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for ElbName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
+id_type!(
+    /// A key-pair name (key pairs are addressed by name in AWS).
+    KeyPairName
+);
+id_type!(
+    /// A launch-configuration name.
+    LaunchConfigName
+);
+id_type!(
+    /// An auto-scaling-group name.
+    AsgName
+);
+id_type!(
+    /// An elastic-load-balancer name.
+    ElbName
+);
 
 #[cfg(test)]
 mod tests {

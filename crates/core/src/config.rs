@@ -14,27 +14,31 @@ use pod_sim::{LatencyModel, SimDuration};
 /// scale-in) update it; an assertion evaluation that snapshotted the old
 /// expectation mid-flight reproduces the paper's second false-positive
 /// class.
+///
+/// Copy-on-write: a snapshot shares the current expectation by `Arc`, and
+/// an update copies it only while an older snapshot still holds it, so
+/// taking a snapshot per assertion copies nothing.
 #[derive(Debug, Clone)]
 pub struct SharedEnv {
-    inner: Arc<Mutex<ExpectedEnv>>,
+    inner: Arc<Mutex<Arc<ExpectedEnv>>>,
 }
 
 impl SharedEnv {
     /// Wraps an initial expectation.
     pub fn new(env: ExpectedEnv) -> SharedEnv {
         SharedEnv {
-            inner: Arc::new(Mutex::new(env)),
+            inner: Arc::new(Mutex::new(Arc::new(env))),
         }
     }
 
-    /// A copy of the current expectation.
-    pub fn snapshot(&self) -> ExpectedEnv {
-        self.inner.lock().unwrap().clone()
+    /// The current expectation; later updates do not change it.
+    pub fn snapshot(&self) -> Arc<ExpectedEnv> {
+        Arc::clone(&self.inner.lock().unwrap())
     }
 
     /// Applies a mutation (e.g. the operator acknowledging a scale-in).
     pub fn update(&self, f: impl FnOnce(&mut ExpectedEnv)) {
-        f(&mut self.inner.lock().unwrap());
+        f(Arc::make_mut(&mut self.inner.lock().unwrap()));
     }
 }
 

@@ -3,10 +3,11 @@
 //! half of Figure 1 of the paper.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pod_assert::{
-    AssertionEvaluator, AssertionLibrary, AssertionTrigger, CloudAssertion, ConsistentApi, TimerId,
-    TimerService,
+    AssertionEvaluator, AssertionLibrary, AssertionTrigger, CloudAssertion, ConsistentApi,
+    ExpectedEnv, TimerId, TimerService,
 };
 use pod_cloud::{Cloud, InstanceId};
 use pod_faulttree::{
@@ -320,13 +321,13 @@ impl PodEngine {
     // Conformance
     // -----------------------------------------------------------------
 
-    fn on_conformance(&mut self, event: LogEvent) {
+    fn on_conformance(&mut self, event: Arc<LogEvent>) {
         let replay_started = self.cloud.clock().now();
         // The conformance service call costs ≈ 10 ms.
         self.cloud.clock().advance(self.conformance_latency);
         self.summary.conformance_events += 1;
-        let activity = event.context.as_ref().and_then(|c| c.step_id.clone());
-        let verdict = match &activity {
+        let activity = event.context.as_ref().and_then(|c| c.step_id.as_deref());
+        let verdict = match activity {
             Some(act) => self.conformance.replay(&self.trace_id, act),
             None => {
                 let known = self.known_errors.first_match(&event.message).is_some();
@@ -339,7 +340,7 @@ impl PodEngine {
         // retroactively covering the whole service call.
         if verdict.is_error() {
             let mut attrs = Vec::with_capacity(2);
-            if let Some(act) = &activity {
+            if let Some(act) = activity {
                 attrs.push(("activity", act.to_string()));
             }
             attrs.push(("verdict", verdict.tag().to_string()));
@@ -369,7 +370,7 @@ impl PodEngine {
                 _ => DetectionSource::ConformanceUnclassified,
             };
             let instance = extract_instance(&event);
-            let step = activity.clone().or_else(|| {
+            let step = activity.map(str::to_string).or_else(|| {
                 self.conformance
                     .last_activity(&self.trace_id)
                     .map(str::to_string)
@@ -379,11 +380,11 @@ impl PodEngine {
             self.detect(source, None, description, step, instance, cause);
         }
         // Step-timer management from process context.
-        if let Some(act) = &activity {
-            if self.wait_activity.as_deref() == Some(act.as_str()) {
+        if let Some(act) = activity {
+            if self.wait_activity.as_deref() == Some(act) {
                 self.arm_step_timer();
             }
-            if self.completion_activity.as_deref() == Some(act.as_str()) {
+            if self.completion_activity.as_deref() == Some(act) {
                 if let Some(id) = self.step_timer.take() {
                     self.timers.cancel(id);
                 }
@@ -426,22 +427,28 @@ impl PodEngine {
     // Assertions
     // -----------------------------------------------------------------
 
-    fn on_assertion(&mut self, activity: String, event: LogEvent) {
+    fn on_assertion(&mut self, activity: String, event: Arc<LogEvent>) {
         if let Some(done) = event.field("done").and_then(|d| d.parse::<u32>().ok()) {
             self.last_done = done;
         }
-        let bound = self.bindings.for_activity(&activity).to_vec();
-        for binding in bound {
+        let fallback;
+        let ctx = match &event.context {
+            Some(ctx) => ctx,
+            None => {
+                fallback = ProcessContext::new(self.process_id.clone(), self.trace_id.clone());
+                &fallback
+            }
+        };
+        // By index: `detect` needs `&mut self` while the bindings are read.
+        for i in 0..self.bindings.for_activity(&activity).len() {
             let env = self.env.snapshot();
+            let binding = &self.bindings.for_activity(&activity)[i];
             let Some(assertion) = binding.resolve(Some(&event), env.expected_count) else {
                 continue;
             };
-            let ctx = event.context.clone().unwrap_or_else(|| {
-                ProcessContext::new(self.process_id.clone(), self.trace_id.clone())
-            });
             let record =
                 self.evaluator
-                    .evaluate(&assertion, &env, AssertionTrigger::Log, Some(&ctx));
+                    .evaluate(&assertion, &env, AssertionTrigger::Log, Some(ctx));
             self.summary.assertions_evaluated += 1;
             if record.is_failure() {
                 let instance = extract_instance(&event);
@@ -739,7 +746,7 @@ impl PodEngine {
             .or_else(|| self.trees.select(MASTER_TREE_KEY))
             .expect("repository provides the master tree");
         let ctx = DiagnosisContext {
-            env: self.env.snapshot(),
+            env: ExpectedEnv::clone(&self.env.snapshot()),
             step,
             instance,
             operation_started: self.op_started.unwrap_or(SimTime::ZERO),
@@ -774,7 +781,7 @@ fn extract_instance(event: &LogEvent) -> Option<InstanceId> {
     event
         .context
         .as_ref()
-        .and_then(|c| c.cloud_instance_id.clone())
-        .or_else(|| event.field("instanceid").map(str::to_string))
+        .and_then(|c| c.cloud_instance_id.as_deref())
+        .or_else(|| event.field("instanceid"))
         .map(InstanceId::new)
 }

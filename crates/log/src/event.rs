@@ -7,6 +7,7 @@
 //! paper's key contribution and what downstream conformance checking,
 //! assertion evaluation and diagnosis consume.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use pod_sim::SimTime;
@@ -129,11 +130,13 @@ pub struct LogEvent {
     /// Virtual time at which the line was produced.
     pub timestamp: SimTime,
     /// Source log (e.g. `asgard.log`, `assertion-evaluation.log`).
-    pub source: String,
-    /// Host that produced the line.
-    pub source_host: String,
+    /// Borrowed when it is a constant, so copying the event does not copy
+    /// it; the same holds for `source_host` and `event_type`.
+    pub source: Cow<'static, str>,
+    /// Host that produced the line (default `sim.local`).
+    pub source_host: Cow<'static, str>,
     /// Event type (Logstash `@type`, e.g. `asgard`, `assertion`).
-    pub event_type: String,
+    pub event_type: Cow<'static, str>,
     /// Free-form tags (Logstash `@tags`), including process-context tags.
     pub tags: Vec<String>,
     /// Extracted fields (Logstash `@fields`), in insertion order.
@@ -150,7 +153,7 @@ impl LogEvent {
     /// Creates an event with defaults for host/type/severity.
     pub fn new(
         timestamp: SimTime,
-        source: impl Into<String>,
+        source: impl Into<Cow<'static, str>>,
         message: impl Into<String>,
     ) -> LogEvent {
         let message = message.into();
@@ -164,8 +167,8 @@ impl LogEvent {
         LogEvent {
             timestamp,
             source: source.into(),
-            source_host: "sim.local".to_string(),
-            event_type: "operation".to_string(),
+            source_host: Cow::Borrowed("sim.local"),
+            event_type: Cow::Borrowed("operation"),
             tags: Vec::new(),
             fields: Vec::new(),
             message,
@@ -175,7 +178,7 @@ impl LogEvent {
     }
 
     /// Sets the event type (Logstash `@type`).
-    pub fn with_type(mut self, t: impl Into<String>) -> LogEvent {
+    pub fn with_type(mut self, t: impl Into<Cow<'static, str>>) -> LogEvent {
         self.event_type = t.into();
         self
     }
@@ -234,7 +237,7 @@ impl LogEvent {
     /// Serializes the event in the Logstash shape shown in the paper.
     pub fn to_json(&self) -> Json {
         let mut o = Json::object();
-        o.set("@source", Json::str(&self.source));
+        o.set("@source", Json::str(&*self.source));
         o.set(
             "@tags",
             Json::Array(self.tags.iter().map(Json::str).collect()),
@@ -245,10 +248,10 @@ impl LogEvent {
         }
         o.set("@fields", fields);
         o.set("@timestamp", Json::str(self.timestamp.to_string()));
-        o.set("@source_host", Json::str(&self.source_host));
-        o.set("@source_path", Json::str(&self.source));
+        o.set("@source_host", Json::str(&*self.source_host));
+        o.set("@source_path", Json::str(&*self.source));
         o.set("@message", Json::str(&self.message));
-        o.set("@type", Json::str(&self.event_type));
+        o.set("@type", Json::str(&*self.event_type));
         o
     }
 }

@@ -9,6 +9,8 @@
 //! to the `unclassified` type so downstream stages can count and drop it
 //! instead of crashing a shard.
 
+use std::borrow::Cow;
+
 use pod_sim::SimTime;
 
 use crate::event::LogEvent;
@@ -106,16 +108,21 @@ fn from_logstash(json: &Json, received_at: SimTime) -> Option<LogEvent> {
         .and_then(|t| t.as_str())
         .and_then(|t| t.parse::<SimTime>().ok())
         .unwrap_or(received_at);
-    let source = json
-        .get("@source")
-        .and_then(|s| s.as_str())
-        .unwrap_or("gateway.raw");
+    let source: Cow<'static, str> = match json.get("@source").and_then(|s| s.as_str()) {
+        Some(source) => source.to_string().into(),
+        None => "gateway.raw".into(),
+    };
     let mut event = LogEvent::new(timestamp, source, message);
+    // A value equal to the default keeps the borrowed constant.
     if let Some(host) = json.get("@source_host").and_then(|h| h.as_str()) {
-        event.source_host = host.to_string();
+        if host != event.source_host {
+            event.source_host = host.to_string().into();
+        }
     }
     if let Some(t) = json.get("@type").and_then(|t| t.as_str()) {
-        event.event_type = t.to_string();
+        if t != event.event_type {
+            event.event_type = t.to_string().into();
+        }
     }
     if let Some(tags) = json.get("@tags").and_then(|t| t.as_array()) {
         for tag in tags {

@@ -5,7 +5,9 @@
 //! annotate it (process/assertion annotator), raise [`Trigger`]s (timer
 //! setter, trigger stage) and finally forward it to central storage.
 
+use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use pod_obs::{Counter, Obs};
 use pod_regex::RegexSet;
@@ -14,17 +16,19 @@ use crate::event::{LogEvent, ProcessContext};
 use crate::matcher::{Boundary, RuleBook};
 
 /// A side effect raised by a pipeline stage, consumed by the POD-Diagnosis
-/// engine (conformance checking, assertion evaluation, timers).
+/// engine (conformance checking, assertion evaluation, timers). Triggers
+/// only read their event, so the triggers of one line share one copy of
+/// it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Trigger {
     /// Send the event to the conformance-checking service.
-    Conformance(LogEvent),
+    Conformance(Arc<LogEvent>),
     /// Evaluate the post-step assertion for `activity`.
     Assertion {
         /// The activity whose post-conditions should be checked.
         activity: String,
         /// The event that completed the activity.
-        event: LogEvent,
+        event: Arc<LogEvent>,
     },
     /// Start the per-process periodic timer (operation began).
     PeriodicStart {
@@ -88,7 +92,7 @@ pub trait Stage: fmt::Debug {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LineCause {
     /// The originating log source (the event name, e.g. `asgard.log`).
-    pub source: String,
+    pub source: Cow<'static, str>,
     /// Event attributes: always `message`, plus `step` when the line was
     /// annotated with an activity.
     pub attrs: Vec<(&'static str, String)>,
@@ -415,7 +419,7 @@ impl Stage for ProcessAnnotator {
             let mut out = StageOutput::pass(event);
             if self.trigger_conformance {
                 let e = out.event.as_ref().expect("pass keeps event").clone();
-                out.triggers.push(Trigger::Conformance(e));
+                out.triggers.push(Trigger::Conformance(Arc::new(e)));
             }
             return out;
         };
@@ -432,14 +436,20 @@ impl Stage for ProcessAnnotator {
             }
         }
         let mut triggers = Vec::new();
-        if self.trigger_conformance {
-            triggers.push(Trigger::Conformance(event.clone()));
-        }
-        if self.trigger_assertions && m.boundary == Boundary::End {
-            triggers.push(Trigger::Assertion {
-                activity: m.activity.clone(),
-                event: event.clone(),
-            });
+        let assert_end = self.trigger_assertions && m.boundary == Boundary::End;
+        if self.trigger_conformance || assert_end {
+            // One copy of the annotated line, shared by both triggers; the
+            // original flows on to storage.
+            let shared = Arc::new(event.clone());
+            if self.trigger_conformance {
+                triggers.push(Trigger::Conformance(Arc::clone(&shared)));
+            }
+            if assert_end {
+                triggers.push(Trigger::Assertion {
+                    activity: m.activity,
+                    event: shared,
+                });
+            }
         }
         StageOutput {
             event: Some(event),

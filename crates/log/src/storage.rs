@@ -175,7 +175,7 @@ impl LogQuery {
             }
         }
         if let Some(t) = &self.event_type {
-            if event.event_type != *t {
+            if event.event_type != t.as_str() {
                 return false;
             }
         }

@@ -160,6 +160,15 @@ impl Snapshot {
     }
 }
 
+/// The handle registered under `name`, created on first use. Looks up by
+/// `&str` first, so the name is copied only when the metric is new.
+fn handle<T: Clone + Default>(map: &mut BTreeMap<String, T>, name: &str) -> T {
+    if let Some(existing) = map.get(name) {
+        return existing.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
+}
+
 #[derive(Debug, Default)]
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
@@ -183,25 +192,18 @@ impl Registry {
 
     /// The counter registered under `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().unwrap();
-        inner.counters.entry(name.to_string()).or_default().clone()
+        handle(&mut self.inner.lock().unwrap().counters, name)
     }
 
     /// The gauge registered under `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().unwrap();
-        inner.gauges.entry(name.to_string()).or_default().clone()
+        handle(&mut self.inner.lock().unwrap().gauges, name)
     }
 
     /// The histogram registered under `name`, created on first use.
     /// Snapshots export its tail exemplars under [`Snapshot::exemplars`].
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut inner = self.inner.lock().unwrap();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        handle(&mut self.inner.lock().unwrap().histograms, name)
     }
 
     /// Copies every metric's current value.

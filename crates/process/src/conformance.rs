@@ -204,15 +204,25 @@ impl ConformanceChecker {
         &self.model_name
     }
 
-    fn instance(&mut self, trace_id: &str) -> &mut InstanceState {
-        let net = &self.net;
-        self.instances
-            .entry(trace_id.to_string())
-            .or_insert_with(|| InstanceState {
-                marking: net.initial_marking(),
-                history: Vec::new(),
-                nonconforming_events: 0,
-            })
+    /// The state of `trace_id`, created on first contact. Takes the net
+    /// and the instance map apart so callers can read the one while
+    /// mutating the other; the trace id is copied only on insertion.
+    fn instance<'a>(
+        net: &PetriNet,
+        instances: &'a mut HashMap<String, InstanceState>,
+        trace_id: &str,
+    ) -> &'a mut InstanceState {
+        if !instances.contains_key(trace_id) {
+            instances.insert(
+                trace_id.to_string(),
+                InstanceState {
+                    marking: net.initial_marking(),
+                    history: Vec::new(),
+                    nonconforming_events: 0,
+                },
+            );
+        }
+        instances.get_mut(trace_id).expect("inserted above")
     }
 
     /// Replays one classified activity for a trace, creating the trace on
@@ -220,9 +230,9 @@ impl ConformanceChecker {
     /// the instance state is left unchanged (the paper does not advance the
     /// token replay on unfit events).
     pub fn replay(&mut self, trace_id: &str, activity: &str) -> Conformance {
-        let net = self.net.clone();
         self.metrics.replays.incr();
-        let inst = self.instance(trace_id);
+        let net = &self.net;
+        let inst = Self::instance(net, &mut self.instances, trace_id);
         let verdict = match net.replay(&inst.marking, activity) {
             Some(next) => {
                 inst.marking = next;
@@ -233,7 +243,7 @@ impl ConformanceChecker {
             None => {
                 inst.nonconforming_events += 1;
                 let expected = net.enabled_labels(&inst.marking);
-                let skipped = Self::hypothesise_skips(&net, &inst.marking, activity, &expected);
+                let skipped = Self::hypothesise_skips(net, &inst.marking, activity, &expected);
                 self.metrics.unfit.incr();
                 Conformance::Unfit { expected, skipped }
             }
@@ -284,7 +294,7 @@ impl ConformanceChecker {
     /// against the trace's counters and returns the matching verdict.
     pub fn record_error(&mut self, trace_id: &str, known_error: bool) -> Conformance {
         self.metrics.replays.incr();
-        let inst = self.instance(trace_id);
+        let inst = Self::instance(&self.net, &mut self.instances, trace_id);
         inst.nonconforming_events += 1;
         let verdict = if known_error {
             self.metrics.error.incr();
@@ -299,9 +309,8 @@ impl ConformanceChecker {
 
     /// Activities currently expected for a trace.
     pub fn expected(&mut self, trace_id: &str) -> Vec<String> {
-        let net = self.net.clone();
-        let inst = self.instance(trace_id);
-        net.enabled_labels(&inst.marking)
+        let inst = Self::instance(&self.net, &mut self.instances, trace_id);
+        self.net.enabled_labels(&inst.marking)
     }
 
     /// The last successfully replayed activity of a trace.

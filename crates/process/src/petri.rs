@@ -143,11 +143,10 @@ impl PetriNet {
     /// Whether `t` is enabled in `m`.
     fn enabled(&self, m: &Marking, t: &Transition) -> bool {
         // A transition consuming the same place twice needs two tokens.
-        let mut need = vec![0u8; self.n_places];
-        for p in &t.consume {
-            need[*p] += 1;
-        }
-        need.iter().zip(m.iter()).all(|(n, have)| have >= n)
+        t.consume.iter().all(|p| {
+            let need = t.consume.iter().filter(|q| *q == p).count();
+            m[*p] as usize >= need
+        })
     }
 
     /// Fires `t` in `m`; caller must have checked enablement.
@@ -162,44 +161,60 @@ impl PetriNet {
         next
     }
 
-    /// All markings reachable from `m` by firing only silent transitions
-    /// (including `m` itself), bounded.
-    fn silent_closure(&self, m: &Marking) -> Vec<Marking> {
-        let mut seen: HashSet<Marking> = HashSet::new();
+    /// Visits the markings reachable from `m` by firing only silent
+    /// transitions (`m` itself first, then breadth-first, at most
+    /// [`CLOSURE_BOUND`] distinct markings) and stops at the first one for
+    /// which `visit` returns `Some`. The walk is lazy: nothing is allocated
+    /// when `m` itself answers, and markings past the answer are never
+    /// built.
+    fn walk_closure<T>(
+        &self,
+        m: &Marking,
+        mut visit: impl FnMut(&Marking) -> Option<T>,
+    ) -> Option<T> {
+        if let Some(found) = visit(m) {
+            return Some(found);
+        }
+        let mut seen: HashSet<Marking> = HashSet::from([m.clone()]);
         let mut queue: VecDeque<Marking> = VecDeque::new();
-        seen.insert(m.clone());
-        queue.push_back(m.clone());
-        let mut result = Vec::new();
-        while let Some(cur) = queue.pop_front() {
-            result.push(cur.clone());
-            if seen.len() >= CLOSURE_BOUND {
-                break;
-            }
+        let mut popped: Marking;
+        let mut cur = m;
+        // `cur` has just been visited. Once `CLOSURE_BOUND` markings are
+        // known the walk ends; otherwise `cur`'s unseen silent successors
+        // join the queue and the next marking in line is visited.
+        while seen.len() < CLOSURE_BOUND {
             for t in self.transitions.iter().filter(|t| t.label.is_none()) {
-                if self.enabled(&cur, t) {
-                    let next = self.fire(&cur, t);
-                    if seen.insert(next.clone()) {
+                if self.enabled(cur, t) {
+                    let next = self.fire(cur, t);
+                    if !seen.contains(&next) {
+                        seen.insert(next.clone());
                         queue.push_back(next);
                     }
                 }
             }
+            popped = queue.pop_front()?;
+            cur = &popped;
+            if let Some(found) = visit(cur) {
+                return Some(found);
+            }
         }
-        result
+        None
     }
 
     /// Activity labels executable from `m`, allowing silent moves first.
     /// Sorted and deduplicated.
     pub fn enabled_labels(&self, m: &Marking) -> Vec<String> {
         let mut labels: Vec<String> = Vec::new();
-        for marking in self.silent_closure(m) {
+        self.walk_closure(m, |marking| {
             for t in &self.transitions {
                 if let Some(label) = &t.label {
-                    if self.enabled(&marking, t) && !labels.contains(label) {
+                    if self.enabled(marking, t) && !labels.contains(label) {
                         labels.push(label.clone());
                     }
                 }
             }
-        }
+            None::<()>
+        });
         labels.sort();
         labels
     }
@@ -209,14 +224,12 @@ impl PetriNet {
     /// returns the new marking. Returns `None` when the activity cannot be
     /// executed in the current state (non-conformance).
     pub fn replay(&self, m: &Marking, activity: &str) -> Option<Marking> {
-        for marking in self.silent_closure(m) {
-            for t in &self.transitions {
-                if t.label.as_deref() == Some(activity) && self.enabled(&marking, t) {
-                    return Some(self.fire(&marking, t));
-                }
-            }
-        }
-        None
+        self.walk_closure(m, |marking| {
+            self.transitions
+                .iter()
+                .find(|t| t.label.as_deref() == Some(activity) && self.enabled(marking, t))
+                .map(|t| self.fire(marking, t))
+        })
     }
 
     /// Replays `activity` even if it is not enabled, creating the missing
@@ -256,9 +269,8 @@ impl PetriNet {
     pub fn is_complete(&self, m: &Marking) -> bool {
         // The done place may not be directly marked yet if only silent
         // moves separate us from the end event.
-        self.silent_closure(m)
-            .iter()
-            .any(|marking| marking[self.done_place] > 0)
+        self.walk_closure(m, |marking| (marking[self.done_place] > 0).then_some(()))
+            .is_some()
     }
 
     /// Total tokens left on non-done places (used by the fitness metric).
